@@ -118,7 +118,7 @@ fn main() {
         let t0 = Instant::now();
         let dirty = dirty_sources(&edited, &edit);
         let upd_cfg = per_src.clone().with_source_filter(Arc::new(dirty));
-        let upd = PathEnumerator::with_prebuilt(&edited, lib, tlib, upd_cfg, kernel, None);
+        let upd = PathEnumerator::with_prebuilt(&edited, lib, tlib, upd_cfg, Some(kernel), None);
         let stats = cache.update(&upd);
         let spliced = CertificateSet::new(&edited, 60.0, cache.splice());
         let incremental_ms = t0.elapsed().as_secs_f64() * 1e3;

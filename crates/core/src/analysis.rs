@@ -17,7 +17,7 @@
 
 use std::path::PathBuf;
 
-use sta_cells::{Corner, Library, Technology};
+use sta_cells::{Corner, Library};
 use sta_charlib::{CharConfig, CharError, TimingLibrary};
 use sta_circuits::catalog;
 use sta_netlist::{Netlist, NetlistError};
@@ -101,27 +101,22 @@ pub enum RequiredSource {
 /// [`AnalysisRequest::run`], or a whole MCMM scenario set for
 /// [`AnalysisRequest::run_batch`]. All setters are chainable; the
 /// defaults reproduce the engine's standard configuration (nominal 90 nm,
-/// unconstrained mode, one thread, compiled kernels, 60 ps input slew).
+/// unconstrained mode, one thread, 60 ps input slew).
 ///
 /// The operating point and constraints live in typed [`Scenario`]s
-/// (corner = [`crate::CornerDef`], mode = [`crate::Mode`]); the legacy corner/SDC
-/// setters remain as deprecated shims that rewrite the primary scenario.
+/// (corner = [`crate::CornerDef`], mode = [`crate::Mode`]), set through
+/// [`AnalysisRequest::scenario`] / [`AnalysisRequest::scenarios`].
 #[derive(Clone, Debug)]
 pub struct AnalysisRequest {
     pub(crate) circuit: String,
     pub(crate) netlist_override: Option<Netlist>,
     /// The scenario set; single-scenario flows use `scenarios[0]`.
     pub(crate) scenarios: Vec<Scenario>,
-    /// Whether a deprecated `.corner()` call pinned the primary corner
-    /// (so a later `.tech()` keeps the explicit point, as the old
-    /// resolve-at-prepare semantics did).
-    primary_corner_explicit: bool,
     pub(crate) n_worst: Option<usize>,
     /// Worker threads *inside* each scenario's enumeration.
     pub(crate) threads: usize,
     /// Concurrent scenario jobs in [`AnalysisRequest::run_batch`].
     pub(crate) batch_threads: usize,
-    pub(crate) compile_kernels: bool,
     pub(crate) bitsim: bool,
     pub(crate) learning: bool,
     /// Path cap applied only in full-enumeration mode (no `n_worst`).
@@ -141,11 +136,9 @@ impl AnalysisRequest {
             circuit: circuit.to_string(),
             netlist_override: None,
             scenarios: vec![Scenario::nominal()],
-            primary_corner_explicit: false,
             n_worst: None,
             threads: 1,
             batch_threads: 1,
-            compile_kernels: true,
             bitsim: true,
             learning: true,
             full_enum_path_cap: None,
@@ -173,7 +166,6 @@ impl AnalysisRequest {
     /// [`AnalysisError::Scenario`].
     pub fn scenarios(mut self, set: Vec<Scenario>) -> Self {
         self.scenarios = set;
-        self.primary_corner_explicit = true;
         self
     }
 
@@ -197,40 +189,6 @@ impl AnalysisRequest {
         self
     }
 
-    /// Selects the technology node (default 90 nm), keeping an
-    /// explicitly set corner.
-    #[deprecated(note = "use scenarios()/scenario() with a typed CornerDef instead")]
-    pub fn tech(mut self, tech: Technology) -> Self {
-        let primary = self.primary_mut();
-        if primary.corner.name == primary.corner.tech.name {
-            primary.corner.name = tech.name.clone();
-        }
-        primary.corner.tech = tech;
-        if !self.primary_corner_explicit {
-            let primary = self.primary_mut();
-            primary.corner.corner = Corner::nominal(&primary.corner.tech);
-        }
-        self
-    }
-
-    /// Overrides the operating corner (default: nominal of the
-    /// technology).
-    #[deprecated(note = "use scenarios()/scenario() with a typed CornerDef instead")]
-    pub fn corner(mut self, corner: Corner) -> Self {
-        let primary = self.primary_mut();
-        primary.corner.corner = corner;
-        primary.corner.name = format!("{},{}", corner.temperature, corner.vdd);
-        self.primary_corner_explicit = true;
-        self
-    }
-
-    fn primary_mut(&mut self) -> &mut Scenario {
-        if self.scenarios.is_empty() {
-            self.scenarios.push(Scenario::nominal());
-        }
-        &mut self.scenarios[0]
-    }
-
     /// Restricts enumeration to the N worst paths (`None` = enumerate
     /// everything, subject to [`AnalysisRequest::full_enum_path_cap`]).
     pub fn n_worst(mut self, n: Option<usize>) -> Self {
@@ -241,12 +199,6 @@ impl AnalysisRequest {
     /// Sets the enumeration worker-thread count (default 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the corner-compiled delay kernels (default on).
-    pub fn compiled_kernels(mut self, on: bool) -> Self {
-        self.compile_kernels = on;
         self
     }
 
@@ -284,22 +236,6 @@ impl AnalysisRequest {
     /// Sets the primary-input transition time, ps (default 60).
     pub fn input_slew(mut self, slew: f64) -> Self {
         self.input_slew = slew;
-        self
-    }
-
-    /// Sets an explicit required arrival time at the outputs, ps (for
-    /// slack analysis). Takes precedence over SDC-derived requirements.
-    #[deprecated(note = "use scenarios()/scenario() with Mode::with_required instead")]
-    pub fn required(mut self, ps: f64) -> Self {
-        self.primary_mut().mode.required = Some(ps);
-        self
-    }
-
-    /// Attaches SDC constraint text, parsed against the circuit during
-    /// [`AnalysisRequest::prepare`].
-    #[deprecated(note = "use scenarios()/scenario() with Mode::with_sdc instead")]
-    pub fn sdc(mut self, text: &str) -> Self {
-        self.primary_mut().mode.sdc = Some(text.to_string());
         self
     }
 
@@ -346,7 +282,6 @@ impl AnalysisRequest {
                 ("circuit", self.circuit.clone()),
                 ("tech", tech.name.clone()),
                 ("threads", self.threads.to_string()),
-                ("kernels", self.compile_kernels.to_string()),
                 ("bitsim", self.bitsim.to_string()),
                 ("learning", self.learning.to_string()),
             ],
@@ -378,7 +313,6 @@ impl AnalysisRequest {
         };
         let mut cfg = EnumerationConfig::new(corner)
             .with_threads(self.threads)
-            .with_compiled_kernels(self.compile_kernels)
             .with_bitsim(self.bitsim)
             .with_learning(self.learning)
             .with_observer(self.obs.clone());
@@ -469,9 +403,8 @@ pub struct EnumerationRun {
     pub paths: Vec<TruePath>,
     /// Engine statistics.
     pub stats: EnumerationStats,
-    /// `(arcs, coefficients)` of the compiled kernel table, when kernel
-    /// compilation was enabled.
-    pub kernel: Option<(usize, usize)>,
+    /// `(arcs, coefficients)` of the compiled kernel table.
+    pub kernel: (usize, usize),
 }
 
 /// Result of a structural slack analysis through the context.
@@ -537,10 +470,9 @@ impl AnalysisContext {
             }
             e
         };
-        let kernel = enumr.kernel().map(|k| {
-            k.record_metrics(&self.obs);
-            (k.num_arcs(), k.num_coefficients())
-        });
+        let k = enumr.kernel();
+        k.record_metrics(&self.obs);
+        let kernel = (k.num_arcs(), k.num_coefficients());
         let (paths, stats) = {
             let _enumerate = self.root.child("enumerate");
             enumr.run()
@@ -630,8 +562,8 @@ pub struct AnalysisOutcome {
     pub paths: Vec<TruePath>,
     /// Engine statistics.
     pub stats: EnumerationStats,
-    /// `(arcs, coefficients)` of the compiled kernel table, if enabled.
-    pub kernel: Option<(usize, usize)>,
+    /// `(arcs, coefficients)` of the compiled kernel table.
+    pub kernel: (usize, usize),
     /// Wall-clock enumeration time, seconds.
     pub elapsed_s: f64,
 }
@@ -640,6 +572,7 @@ pub struct AnalysisOutcome {
 mod tests {
     use super::*;
     use crate::scenario::{CornerDef, Mode};
+    use sta_cells::Technology;
 
     fn cache_dir() -> PathBuf {
         // Share one fast-config cache across the facade tests.
@@ -662,7 +595,7 @@ mod tests {
     #[test]
     fn facade_matches_direct_engine_use() {
         let outcome = fast_request("c17").run().unwrap();
-        assert!(outcome.kernel.is_some());
+        assert!(outcome.kernel.0 > 0);
         // Reproduce by hand: same library, same config.
         let lib = Library::standard();
         let nl = catalog::mapped("c17", &lib).unwrap().unwrap();
@@ -758,33 +691,6 @@ mod tests {
             .run_batch()
             .unwrap_err();
         assert!(matches!(err, AnalysisError::Scenario(_)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_rewrite_the_primary_scenario() {
-        // tech() then corner(): explicit corner survives.
-        let req = fast_request("c17")
-            .corner(Corner {
-                temperature: 75.0,
-                vdd: 0.95,
-            })
-            .tech(Technology::n65());
-        let primary = &req.scenario_set()[0];
-        assert_eq!(primary.corner.tech.name, "65nm");
-        assert_eq!(primary.corner.corner.temperature, 75.0);
-        // tech() alone: corner follows to nominal of the node.
-        let req = fast_request("c17").tech(Technology::n130());
-        let primary = &req.scenario_set()[0];
-        assert_eq!(primary.corner.corner, Corner::nominal(&Technology::n130()));
-        assert_eq!(primary.corner.name, "130nm");
-        // sdc()/required() land in the primary mode.
-        let req = fast_request("c17")
-            .sdc("create_clock -period 500\n")
-            .required(450.0);
-        let primary = &req.scenario_set()[0];
-        assert_eq!(primary.mode.required, Some(450.0));
-        assert!(primary.mode.sdc.as_deref().unwrap().contains("500"));
     }
 
     #[test]

@@ -210,8 +210,8 @@ pub fn arc_bounds(
 }
 
 /// [`arc_bounds`] evaluated through a corner-compiled kernel table —
-/// bit-identical to the interpreted bounds at the kernel's corner, so
-/// the dominance cut never depends on the kernel setting.
+/// bit-identical to the interpreted bounds at the kernel's corner, which
+/// stay the oracle for the dominance cut.
 pub fn arc_bounds_compiled(
     nl: &Netlist,
     tlib: &TimingLibrary,
@@ -346,7 +346,7 @@ pub fn arc_intervals(
 
 /// [`arc_intervals`] evaluated through a corner-compiled kernel table —
 /// bit-identical to the interpreted intervals at the kernel's corner, so
-/// audit verdicts never depend on the kernel setting.
+/// audit verdicts agree with the interpreted oracle.
 pub fn arc_intervals_compiled(
     nl: &Netlist,
     tlib: &TimingLibrary,
@@ -578,7 +578,7 @@ mod tests {
     }
 
     /// Per-arc bounds through the kernel table match the interpreted ones
-    /// bitwise, so the dominance cut never depends on the kernel setting.
+    /// bitwise.
     #[test]
     fn compiled_arc_bounds_are_bit_identical() {
         let (nl, lib) = small_mapped();

@@ -400,7 +400,7 @@ mod tests {
         assert!(!edit.function_changed);
         let dirty = dirty_sources(&nl, &edit);
         let filtered = per_src.clone().with_source_filter(Arc::new(dirty));
-        let upd = PathEnumerator::with_prebuilt(&nl, &lib, &tlib, filtered, kernel, None);
+        let upd = PathEnumerator::with_prebuilt(&nl, &lib, &tlib, filtered, Some(kernel), None);
         let stats = cache.update(&upd);
         assert!(!stats.truncated);
 

@@ -20,14 +20,14 @@ use std::sync::Arc;
 
 use serde::Serialize;
 use sta_cells::{Corner, Edge, Library, Polarity};
-use sta_charlib::{CompiledCorner, ModelCache, TimingLibrary};
+use sta_charlib::{CompiledCorner, TimingLibrary};
 use sta_logic::{toggle_analysis, Dual, ImplicationEngine, Mask, Schedule, Toggle, TriVal, V9};
 
 use crate::bitsim::BitsimFilter;
 use crate::justify::{JustifyBudget, JustifyCache, JustifyOutcome, JustifyScratch};
 use sta_netlist::{GateId, GateKind, NetId, Netlist};
 
-use crate::arrival::{static_bounds, ArcBounds};
+use crate::arrival::ArcBounds;
 use crate::learn::{self, ConeScratch, NogoodKey, NogoodStore, NogoodView};
 use crate::path::{LaunchTiming, PathArc, PiValue, TruePath};
 
@@ -65,12 +65,6 @@ pub struct EnumerationConfig {
     /// `max_paths` budgets apply per root task rather than globally in
     /// parallel mode.
     pub threads: usize,
-    /// Fold the timing library into a [`CompiledCorner`] kernel table at
-    /// setup and evaluate delays through it (bit-identical to the
-    /// interpreted models — see `sta_charlib::kernel`). Disable to force
-    /// the interpreted `ModelCache` path, e.g. to time the two against
-    /// each other.
-    pub compile_kernels: bool,
     /// Pre-filter justification branch candidates through the 64-lane
     /// bit-parallel forward simulation (`sta_logic::bitsim`) before they
     /// reach the exact implication engine. Refutation-only: the emitted
@@ -121,7 +115,6 @@ impl PartialEq for EnumerationConfig {
             && self.max_paths == other.max_paths
             && self.justify_decision_limit == other.justify_decision_limit
             && self.threads == other.threads
-            && self.compile_kernels == other.compile_kernels
             && self.bitsim == other.bitsim
             && self.learning == other.learning
             && self.source_filter == other.source_filter
@@ -142,7 +135,6 @@ impl EnumerationConfig {
             max_paths: None,
             justify_decision_limit: 20_000,
             threads: 1,
-            compile_kernels: true,
             bitsim: true,
             learning: true,
             source_filter: None,
@@ -160,13 +152,6 @@ impl EnumerationConfig {
     /// Sets the worker thread count (values below 1 mean serial).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the corner-compiled kernel table (on by
-    /// default).
-    pub fn with_compiled_kernels(mut self, on: bool) -> Self {
-        self.compile_kernels = on;
         self
     }
 
@@ -232,14 +217,13 @@ pub struct EnumerationStats {
     /// Justification candidate enumerations answered from the per-worker
     /// memo table (see `sta_core::justify::JustifyCache`).
     pub justify_cache_hits: u64,
-    /// Delay-model evaluations answered from the per-worker memo table
-    /// (see `sta_charlib::ModelCache`).
-    pub model_cache_hits: u64,
     /// Arc evaluations (one per alive polarity) served by the
     /// corner-compiled kernel table.
     pub compiled_evals: u64,
-    /// Arc evaluations that fell back to the interpreted models (kernel
-    /// compilation disabled).
+    /// Always 0: every run evaluates delays through the corner-compiled
+    /// kernel table. Kept only because the benchmark harness
+    /// (`stabench/`) sums `compiled_evals + fallback_evals`; remove it
+    /// together with that sum.
     pub fallback_evals: u64,
     /// 64-lane bit-parallel program executions by the justification
     /// pre-filter (one per polarity/timeframe plane).
@@ -297,7 +281,6 @@ impl EnumerationStats {
         self.pruned += other.pruned;
         self.justify_aborts += other.justify_aborts;
         self.justify_cache_hits += other.justify_cache_hits;
-        self.model_cache_hits += other.model_cache_hits;
         self.compiled_evals += other.compiled_evals;
         self.fallback_evals += other.fallback_evals;
         self.bitsim_words += other.bitsim_words;
@@ -328,12 +311,12 @@ pub struct PathEnumerator<'a> {
     pub(crate) lib: &'a Library,
     pub(crate) tlib: &'a TimingLibrary,
     pub(crate) cfg: EnumerationConfig,
-    /// Corner-compiled kernel table (`None` when disabled), built once at
-    /// construction — or injected pre-built via
+    /// Corner-compiled kernel table, the engine's only delay-evaluation
+    /// path: built once at construction — or injected pre-built via
     /// [`PathEnumerator::with_prebuilt`], e.g. by the timing daemon which
     /// keeps it resident across requests — and shared read-only by every
     /// worker.
-    pub(crate) kernel: Option<Arc<CompiledCorner>>,
+    pub(crate) kernel: Arc<CompiledCorner>,
     /// Compiled forward-simulation program for the bit-parallel
     /// justification pre-filter (`None` when disabled), built once at
     /// construction (or injected pre-built) and shared read-only by every
@@ -365,14 +348,16 @@ impl<'a> PathEnumerator<'a> {
     /// state instead of rebuilding it: a corner-compiled kernel table
     /// (valid for a (timing library, corner) pair — it does not depend on
     /// the netlist, so it survives ECO edits) and/or a compiled bitsim
-    /// schedule (netlist-dependent; rebuild after an edit). Either `None`
-    /// falls back to compiling fresh when the corresponding config flag is
-    /// on. This is what lets the timing daemon pay compilation once per
-    /// loaded circuit rather than once per request.
+    /// schedule (netlist-dependent; rebuild after an edit). A `None`
+    /// kernel is compiled fresh; a `None` schedule is compiled fresh when
+    /// [`EnumerationConfig::bitsim`] is on. This is what lets the timing
+    /// daemon pay compilation once per loaded circuit rather than once
+    /// per request.
     ///
     /// # Panics
     ///
-    /// As [`PathEnumerator::new`].
+    /// As [`PathEnumerator::new`], and if an injected kernel was folded at
+    /// a different corner than [`EnumerationConfig::corner`].
     pub fn with_prebuilt(
         nl: &'a Netlist,
         lib: &'a Library,
@@ -387,9 +372,12 @@ impl<'a> PathEnumerator<'a> {
                 .all(|g| matches!(nl.gate(g).kind(), GateKind::Cell(_))),
             "netlist must be technology-mapped"
         );
-        let kernel = cfg
-            .compile_kernels
-            .then(|| kernel.unwrap_or_else(|| Arc::new(tlib.compile_corner(cfg.corner))));
+        let kernel = kernel.unwrap_or_else(|| Arc::new(tlib.compile_corner(cfg.corner)));
+        assert_eq!(
+            kernel.corner(),
+            cfg.corner,
+            "kernel was compiled at a different corner than the run"
+        );
         let schedule = cfg
             .bitsim
             .then(|| schedule.unwrap_or_else(|| Arc::new(Schedule::compile(nl, lib))));
@@ -404,14 +392,14 @@ impl<'a> PathEnumerator<'a> {
         }
     }
 
-    /// The corner-compiled kernel table, if kernel compilation is enabled.
-    pub fn kernel(&self) -> Option<&CompiledCorner> {
-        self.kernel.as_deref()
+    /// The corner-compiled kernel table.
+    pub fn kernel(&self) -> &CompiledCorner {
+        &self.kernel
     }
 
     /// Shared handle on the kernel table (for callers that keep it
     /// resident across enumerator rebuilds, e.g. the timing daemon).
-    pub fn kernel_arc(&self) -> Option<Arc<CompiledCorner>> {
+    pub fn kernel_arc(&self) -> Arc<CompiledCorner> {
         self.kernel.clone()
     }
 
@@ -475,9 +463,8 @@ impl<'a> PathEnumerator<'a> {
         let mut search = Search {
             nl: self.nl,
             lib: self.lib,
-            tlib: self.tlib,
             cfg: &self.cfg,
-            kernel: self.kernel.as_deref(),
+            kernel: &self.kernel,
             eng: ImplicationEngine::new(self.nl, self.lib),
             remaining: self.prune_bounds(),
             fanouts: self.fanouts(),
@@ -492,7 +479,6 @@ impl<'a> PathEnumerator<'a> {
             threshold: f64::NEG_INFINITY,
             shared_bound: None,
             justify_cache: JustifyCache::new(),
-            model_cache: ModelCache::new(),
             side_scratch: Vec::new(),
             justify_todo: Vec::new(),
             justify_scratch: JustifyScratch::default(),
@@ -573,7 +559,6 @@ impl<'a> PathEnumerator<'a> {
             search.obligations.clear();
         }
         search.stats.justify_cache_hits = search.justify_cache.hits;
-        search.stats.model_cache_hits = search.model_cache.hits;
         if let Some(f) = &search.filter {
             search.stats.bitsim_words = f.words;
             search.stats.bitsim_lanes_filtered = f.lanes_filtered;
@@ -583,27 +568,17 @@ impl<'a> PathEnumerator<'a> {
     }
 
     /// Static pruning bounds for N-worst mode (`None` in full
-    /// enumeration). Computed through the kernel table when one exists —
-    /// the two variants are bit-identical, so pruning never depends on the
-    /// kernel setting.
+    /// enumeration), computed through the kernel table (bit-identical to
+    /// the interpreted `static_bounds`).
     pub(crate) fn prune_bounds(&self) -> Option<Vec<f64>> {
         self.cfg.n_worst.map(|_| {
-            let timing = match &self.kernel {
-                Some(k) => crate::arrival::static_bounds_compiled(
-                    self.nl,
-                    self.tlib,
-                    k,
-                    self.cfg.input_slew,
-                    self.cfg.prune_margin,
-                ),
-                None => static_bounds(
-                    self.nl,
-                    self.tlib,
-                    self.cfg.corner,
-                    self.cfg.input_slew,
-                    self.cfg.prune_margin,
-                ),
-            };
+            let timing = crate::arrival::static_bounds_compiled(
+                self.nl,
+                self.tlib,
+                &self.kernel,
+                self.cfg.input_slew,
+                self.cfg.prune_margin,
+            );
             crate::arrival::record_bounds_metrics(&self.cfg.obs, self.nl, &timing);
             timing.remaining
         })
@@ -612,29 +587,19 @@ impl<'a> PathEnumerator<'a> {
     /// Per-arc delay bound table of the dominance cut (`None` unless
     /// learning and N-worst mode are both on), computed once per run and
     /// shared read-only by every worker. Goes through the kernel table
-    /// when one exists — the two variants are bit-identical, so the cut
-    /// never depends on the kernel setting.
+    /// (bit-identical to the interpreted `arc_bounds`).
     pub(crate) fn learn_arc_bounds(&self) -> Option<Arc<ArcBounds>> {
         // The swept bound evaluates the model over the whole clamped slew
         // domain, so it needs only the small wiggle margin, not the
         // conservative `prune_margin` of the single-point static pass.
         (self.cfg.learning && self.cfg.n_worst.is_some()).then(|| {
-            Arc::new(match &self.kernel {
-                Some(k) => crate::arrival::arc_bounds_compiled(
-                    self.nl,
-                    self.tlib,
-                    k,
-                    self.cfg.input_slew,
-                    crate::arrival::ARC_SWEEP_MARGIN,
-                ),
-                None => crate::arrival::arc_bounds(
-                    self.nl,
-                    self.tlib,
-                    self.cfg.corner,
-                    self.cfg.input_slew,
-                    crate::arrival::ARC_SWEEP_MARGIN,
-                ),
-            })
+            Arc::new(crate::arrival::arc_bounds_compiled(
+                self.nl,
+                self.tlib,
+                &self.kernel,
+                self.cfg.input_slew,
+                crate::arrival::ARC_SWEEP_MARGIN,
+            ))
         })
     }
 
@@ -658,12 +623,8 @@ impl<'a> PathEnumerator<'a> {
             .add(stats.justify_aborts);
         obs.counter("enumerate.justify_cache_hits")
             .add(stats.justify_cache_hits);
-        obs.counter("enumerate.model_cache_hits")
-            .add(stats.model_cache_hits);
         obs.counter("enumerate.compiled_evals")
             .add(stats.compiled_evals);
-        obs.counter("enumerate.fallback_evals")
-            .add(stats.fallback_evals);
         obs.counter("bitsim.words").add(stats.bitsim_words);
         obs.counter("bitsim.lanes_filtered")
             .add(stats.bitsim_lanes_filtered);
@@ -812,11 +773,9 @@ impl PolTimings {
 pub(crate) struct Search<'a, 'b> {
     pub(crate) nl: &'a Netlist,
     pub(crate) lib: &'a Library,
-    pub(crate) tlib: &'a TimingLibrary,
     pub(crate) cfg: &'a EnumerationConfig,
-    /// Corner-compiled kernels (`None` falls back to the interpreted
-    /// models through [`ModelCache`]).
-    pub(crate) kernel: Option<&'a CompiledCorner>,
+    /// Corner-compiled kernels: every arc delay/slew goes through them.
+    pub(crate) kernel: &'a CompiledCorner,
     pub(crate) eng: ImplicationEngine<'a>,
     pub(crate) remaining: Option<Vec<f64>>,
     /// Equivalent fanout per gate (precomputed).
@@ -845,8 +804,6 @@ pub(crate) struct Search<'a, 'b> {
     pub(crate) shared_bound: Option<&'a AtomicU64>,
     /// Memo table over justification candidate enumeration.
     pub(crate) justify_cache: JustifyCache,
-    /// Memo table over delay-model evaluations.
-    pub(crate) model_cache: ModelCache,
     /// Shared stack of pending side assignments: each [`Search::try_arc`]
     /// activation appends its slice and truncates on exit, so the hot loop
     /// never allocates.
@@ -1171,9 +1128,9 @@ impl Search<'_, '_> {
     }
 
     /// Adds the arc's polynomial delay/slew per alive polarity and pushes
-    /// the per-gate delay entries. The corner-compiled kernel table and
-    /// the interpreted `ModelCache` path share the same Horner arithmetic,
-    /// so the two branches produce bit-identical numbers.
+    /// the per-gate delay entries. The corner-compiled kernel table shares
+    /// its Horner arithmetic with the interpreted `PolyModel::eval`, so the
+    /// numbers are bit-identical to `delaycalc::path_delay`.
     #[allow(clippy::too_many_arguments)]
     fn advance_timing(
         &mut self,
@@ -1187,50 +1144,25 @@ impl Search<'_, '_> {
     ) -> PolTimings {
         let fo = self.fanouts[gate.index()];
         let mut out = timing;
-        let (dr, df);
-        if let Some(kernel) = self.kernel {
-            let arc = kernel.arc_id(cell_id, pin, vector);
-            let step = |state: &mut EdgeState, launch: Edge, alive: bool| -> f64 {
-                if !alive {
-                    return 0.0;
-                }
-                let in_edge = if parity { launch.invert() } else { launch };
-                let (d, s) = kernel.eval(arc, in_edge, fo, state.slew);
-                // Clamp against degenerate extrapolation: delays and slews
-                // are physical quantities.
-                let d = d.max(0.1);
-                let s = s.max(0.5);
-                state.arrival += d;
-                state.slew = s;
-                d
-            };
-            dr = step(&mut out.r, Edge::Rise, mask.r);
-            df = step(&mut out.f, Edge::Fall, mask.f);
-            self.stats.compiled_evals += u64::from(mask.r) + u64::from(mask.f);
-        } else {
-            let tlib = self.tlib;
-            let corner = self.cfg.corner;
-            let cache = &mut self.model_cache;
-            let mut step = |state: &mut EdgeState, launch: Edge, alive: bool| -> f64 {
-                if !alive {
-                    return 0.0;
-                }
-                let in_edge = if parity { launch.invert() } else { launch };
-                let (d, s) = tlib.delay_slew_cached(
-                    cache, cell_id, pin, vector, in_edge, fo, state.slew, corner,
-                );
-                // Clamp against degenerate extrapolation: delays and slews
-                // are physical quantities.
-                let d = d.max(0.1);
-                let s = s.max(0.5);
-                state.arrival += d;
-                state.slew = s;
-                d
-            };
-            dr = step(&mut out.r, Edge::Rise, mask.r);
-            df = step(&mut out.f, Edge::Fall, mask.f);
-            self.stats.fallback_evals += u64::from(mask.r) + u64::from(mask.f);
-        }
+        let kernel = self.kernel;
+        let arc = kernel.arc_id(cell_id, pin, vector);
+        let step = |state: &mut EdgeState, launch: Edge, alive: bool| -> f64 {
+            if !alive {
+                return 0.0;
+            }
+            let in_edge = if parity { launch.invert() } else { launch };
+            let (d, s) = kernel.eval(arc, in_edge, fo, state.slew);
+            // Clamp against degenerate extrapolation: delays and slews
+            // are physical quantities.
+            let d = d.max(0.1);
+            let s = s.max(0.5);
+            state.arrival += d;
+            state.slew = s;
+            d
+        };
+        let dr = step(&mut out.r, Edge::Rise, mask.r);
+        let df = step(&mut out.f, Edge::Fall, mask.f);
+        self.stats.compiled_evals += u64::from(mask.r) + u64::from(mask.f);
         self.delays_r.push(dr);
         self.delays_f.push(df);
         out
@@ -1803,5 +1735,27 @@ mod tests {
         for (a, b) in full_top.iter().zip(&got) {
             assert!((a - b).abs() < 1e-6, "full {full_top:?} vs nworst {got:?}");
         }
+    }
+
+    /// A kernel folded at another corner would silently produce wrong
+    /// delays, so injecting one is refused up front.
+    #[test]
+    #[should_panic(expected = "kernel was compiled at a different corner")]
+    fn prebuilt_kernel_must_match_the_run_corner() {
+        let tech = Technology::n90();
+        let (lib, tlib) = setup(&tech);
+        let inv = lib.cell_by_name("INV").unwrap().id();
+        let mut nl = Netlist::new("chain");
+        let a = nl.add_input("a");
+        let y = nl.add_gate(GateKind::Cell(inv), &[a], None).unwrap();
+        nl.mark_output(y);
+        let nominal = Corner::nominal(&tech);
+        let hot = Corner {
+            temperature: nominal.temperature + 50.0,
+            ..nominal
+        };
+        let kernel = Arc::new(tlib.compile_corner(hot));
+        let cfg = EnumerationConfig::new(nominal);
+        PathEnumerator::with_prebuilt(&nl, lib, tlib, cfg, Some(kernel), None);
     }
 }

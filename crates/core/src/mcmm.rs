@@ -183,7 +183,7 @@ struct Job {
     index: usize,
     scenario: Scenario,
     tlib: Arc<TimingLibrary>,
-    kernel: Option<Arc<CompiledCorner>>,
+    kernel: Arc<CompiledCorner>,
     schedule: Option<Arc<Schedule>>,
     constraints: Option<Arc<Constraints>>,
 }
@@ -259,26 +259,30 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
         Arc::new(Schedule::compile(&netlist, &lib))
     });
 
-    // One compiled kernel per distinct (technology, corner).
-    let mut kernels: Vec<((String, u64, u64), Arc<CompiledCorner>)> = Vec::new();
-    if req.compile_kernels {
-        for s in &scenarios {
+    // One compiled kernel per distinct (technology, corner), shared by
+    // every scenario at that point (`kernels[i]` serves scenario `i`).
+    let mut compiled: Vec<((String, u64, u64), Arc<CompiledCorner>)> = Vec::new();
+    let kernels: Vec<Arc<CompiledCorner>> = scenarios
+        .iter()
+        .map(|s| {
             let key = (
                 s.corner.tech.name.clone(),
                 s.corner.corner.temperature.to_bits(),
                 s.corner.corner.vdd.to_bits(),
             );
-            if kernels.iter().any(|(k, _)| *k == key) {
-                continue;
+            if let Some((_, k)) = compiled.iter().find(|(k, _)| *k == key) {
+                return k.clone();
             }
             let _span = root.child_with("kernel", vec![("corner", s.corner.name.clone())]);
             coord_children += 1;
-            let compiled = timing_for(&s.corner.tech.name).compile_corner(s.corner.corner);
-            compiled.record_metrics(&obs);
+            let kernel = timing_for(&s.corner.tech.name).compile_corner(s.corner.corner);
+            kernel.record_metrics(&obs);
             obs.counter("mcmm.kernel_compiles").add(1);
-            kernels.push((key, Arc::new(compiled)));
-        }
-    }
+            let kernel = Arc::new(kernel);
+            compiled.push((key, kernel.clone()));
+            kernel
+        })
+        .collect();
 
     // Parse each distinct SDC text once, against the shared netlist.
     let mut parsed_sdc: Vec<(String, Arc<Constraints>)> = Vec::new();
@@ -300,16 +304,7 @@ pub(crate) fn run_batch(req: &AnalysisRequest) -> Result<BatchOutcome, AnalysisE
             index,
             scenario: s.clone(),
             tlib: timing_for(&s.corner.tech.name),
-            kernel: kernels
-                .iter()
-                .find(|(k, _)| {
-                    *k == (
-                        s.corner.tech.name.clone(),
-                        s.corner.corner.temperature.to_bits(),
-                        s.corner.corner.vdd.to_bits(),
-                    )
-                })
-                .map(|(_, k)| k.clone()),
+            kernel: kernels[index].clone(),
             schedule: schedule.clone(),
             constraints: s.mode.sdc.as_ref().map(|text| {
                 parsed_sdc
@@ -403,7 +398,6 @@ fn run_scenario(
 ) -> ScenarioOutcome {
     let mut cfg = EnumerationConfig::new(job.scenario.corner.corner)
         .with_threads(req.threads)
-        .with_compiled_kernels(req.compile_kernels)
         .with_bitsim(req.bitsim)
         .with_learning(req.learning)
         .with_observer(req.obs.clone());
@@ -420,7 +414,7 @@ fn run_scenario(
         lib,
         &job.tlib,
         cfg,
-        job.kernel.clone(),
+        Some(job.kernel.clone()),
         job.schedule.clone(),
     );
     let (paths, stats) = local.time(span_id, 0, "enumerate", Vec::new(), || enumerator.run());

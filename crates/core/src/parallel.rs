@@ -49,7 +49,7 @@ use std::sync::{mpsc, Arc};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use sta_cells::Library;
-use sta_charlib::{ModelCache, TimingLibrary};
+use sta_charlib::CompiledCorner;
 use sta_logic::{toggle_analysis, Dual, ImplicationEngine, Mask, Toggle};
 use sta_netlist::{GateId, NetId, Netlist};
 
@@ -107,11 +107,10 @@ struct SrcPlan {
 struct WorkerCtx<'a> {
     nl: &'a Netlist,
     lib: &'a Library,
-    tlib: &'a TimingLibrary,
     cfg: &'a EnumerationConfig,
     /// Corner-compiled kernel table, folded once by the enumerator and
     /// shared read-only by every worker.
-    kernel: Option<&'a sta_charlib::CompiledCorner>,
+    kernel: &'a CompiledCorner,
     /// Compiled bit-parallel simulation program, built once by the
     /// enumerator; each worker wraps it in its own `BitsimFilter`.
     schedule: Option<&'a sta_logic::Schedule>,
@@ -238,9 +237,8 @@ pub(crate) fn run_parallel(
     let ctx = WorkerCtx {
         nl,
         lib,
-        tlib: enumr.tlib,
         cfg: &enumr.cfg,
-        kernel: enumr.kernel.as_deref(),
+        kernel: &enumr.kernel,
         schedule: enumr.schedule.as_deref(),
         plans: &plans,
         remaining: &remaining,
@@ -356,7 +354,6 @@ fn worker_loop(
     let mut search = Search {
         nl: ctx.nl,
         lib: ctx.lib,
-        tlib: ctx.tlib,
         cfg: ctx.cfg,
         kernel: ctx.kernel,
         eng: ImplicationEngine::new(ctx.nl, ctx.lib),
@@ -373,7 +370,6 @@ fn worker_loop(
         threshold: f64::NEG_INFINITY,
         shared_bound: Some(ctx.shared_bound),
         justify_cache: JustifyCache::new(),
-        model_cache: ModelCache::new(),
         side_scratch: Vec::new(),
         justify_todo: Vec::new(),
         justify_scratch: JustifyScratch::default(),
@@ -473,7 +469,6 @@ fn worker_loop(
         }
     }
     total.justify_cache_hits = search.justify_cache.hits;
-    total.model_cache_hits = search.model_cache.hits;
     if let Some(f) = &search.filter {
         total.bitsim_words = f.words;
         total.bitsim_lanes_filtered = f.lanes_filtered;

@@ -12,12 +12,9 @@
 //!
 //! The protocol is at schema version 2, which added the MCMM surface:
 //! the `analyze_batch` op and the `scenario` selector on `paths` and
-//! `verify`. Requests may pin a version with an optional
-//! `"schema_version"` field; a request without one is served at the
-//! current version. Pinning `1` is the one-version compatibility shim:
-//! the v1 surface behaves exactly as it always did, and v2-only
-//! constructs are rejected with a message naming the version that
-//! provides them. Versions other than 1 or 2 are rejected outright.
+//! `verify`. Requests may carry an optional `"schema_version"` field; a
+//! request without one is served at the current version, and any version
+//! other than 2 (including the retired 1) is refused.
 
 use serde::Value;
 
@@ -126,8 +123,8 @@ pub enum Request {
 /// `audit` op) can validate requests without a filesystem lookup.
 pub const SERVE_SCHEMA_JSON: &str = include_str!("../../../docs/serve.schema.json");
 
-/// The protocol version this daemon speaks (and serves to requests that
-/// do not pin one).
+/// The only protocol version this daemon speaks (and serves to requests
+/// that do not pin one).
 pub const SCHEMA_VERSION: usize = 2;
 
 fn field<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
@@ -174,30 +171,13 @@ pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
         return Err("request must be a JSON object".to_string());
     };
     let id = field(&map, "id").cloned();
-    let version = opt_usize_field(&map, "schema_version")?.unwrap_or(SCHEMA_VERSION);
-    if !(1..=SCHEMA_VERSION).contains(&version) {
-        return Err(format!(
-            "unsupported schema_version {version} (this daemon speaks 1 through {SCHEMA_VERSION})"
-        ));
+    if let Some(version) = opt_usize_field(&map, "schema_version")? {
+        if version != SCHEMA_VERSION {
+            return Err(format!(
+                "unsupported schema_version {version} (this daemon speaks {SCHEMA_VERSION})"
+            ));
+        }
     }
-    // The v1 compatibility shim: a request pinned to schema_version 1
-    // gets exactly the v1 surface, with v2-only constructs named.
-    let v2_only = |what: &str| -> Result<(), String> {
-        if version >= 2 {
-            Ok(())
-        } else {
-            Err(format!(
-                "{what} requires schema_version 2 (request pinned schema_version 1)"
-            ))
-        }
-    };
-    let scenario_field = |map: &[(String, Value)]| -> Result<Option<String>, String> {
-        let scenario = opt_str_field(map, "scenario")?;
-        if scenario.is_some() {
-            v2_only("field \"scenario\"")?;
-        }
-        Ok(scenario)
-    };
     let op = str_field(&map, "op")?;
     let req = match op.as_str() {
         "load" => Request::Load {
@@ -230,27 +210,24 @@ pub fn parse_request(line: &str) -> Result<(Request, Option<Value>), String> {
             };
             Request::Edit { circuit, kind }
         }
-        "analyze_batch" => {
-            v2_only("op \"analyze_batch\"")?;
-            Request::AnalyzeBatch {
-                circuit: str_field(&map, "circuit")?,
-                corners: opt_str_field(&map, "corners")?,
-                modes: opt_str_field(&map, "modes")?,
-                n_worst: opt_usize_field(&map, "nworst")?,
-                batch_threads: opt_usize_field(&map, "batch_threads")?.unwrap_or(1).max(1),
-            }
-        }
+        "analyze_batch" => Request::AnalyzeBatch {
+            circuit: str_field(&map, "circuit")?,
+            corners: opt_str_field(&map, "corners")?,
+            modes: opt_str_field(&map, "modes")?,
+            n_worst: opt_usize_field(&map, "nworst")?,
+            batch_threads: opt_usize_field(&map, "batch_threads")?.unwrap_or(1).max(1),
+        },
         "paths" => Request::Paths {
             circuit: str_field(&map, "circuit")?,
             limit: opt_usize_field(&map, "limit")?.unwrap_or(10),
-            scenario: scenario_field(&map)?,
+            scenario: opt_str_field(&map, "scenario")?,
         },
         "slack" => Request::Slack {
             circuit: str_field(&map, "circuit")?,
         },
         "verify" => Request::Verify {
             circuit: str_field(&map, "circuit")?,
-            scenario: scenario_field(&map)?,
+            scenario: opt_str_field(&map, "scenario")?,
         },
         "audit" => Request::Audit {
             circuit: opt_str_field(&map, "circuit")?,
@@ -301,7 +278,7 @@ pub fn protocol_spec() -> sta_lint::ProtocolSpec {
         "batch_threads",
     ];
     // (description, line, schema_should_accept)
-    let exemplars: [(&str, &str, bool); 19] = [
+    let exemplars: [(&str, &str, bool); 20] = [
         (
             "load-full",
             r#"{"op":"load","circuit":"c17","tech":"90nm","nworst":10,"threads":2}"#,
@@ -334,6 +311,11 @@ pub fn protocol_spec() -> sta_lint::ProtocolSpec {
             "verify-scenario",
             r#"{"op":"verify","circuit":"c17","scenario":"typ/func"}"#,
             true,
+        ),
+        (
+            "retired-version",
+            r#"{"op":"status","schema_version":1}"#,
+            false,
         ),
         (
             "future-version",
@@ -490,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn schema_version_gates_the_v2_surface() {
+    fn unpinned_requests_get_the_v2_surface() {
         // No version pinned = current version: the MCMM surface parses.
         let (req, _) =
             parse_request(r#"{"op":"analyze_batch","circuit":"c17","corners":"typ,slow"}"#)
@@ -509,24 +491,23 @@ mod tests {
             parse_request(r#"{"op":"paths","circuit":"c17","scenario":"typ/func"}"#).unwrap();
         assert!(matches!(req, Request::Paths { scenario: Some(s), .. } if s == "typ/func"));
 
-        // Pinning v1 keeps the v1 surface working…
-        assert!(parse_request(r#"{"op":"paths","circuit":"c17","schema_version":1}"#).is_ok());
-        assert!(parse_request(r#"{"op":"verify","circuit":"c17","schema_version":1}"#).is_ok());
-        // …and rejects v2-only constructs with the version named.
-        let err = parse_request(r#"{"op":"analyze_batch","circuit":"c17","schema_version":1}"#)
-            .unwrap_err();
-        assert!(err.contains("schema_version 2"), "{err}");
-        let err = parse_request(
-            r#"{"op":"paths","circuit":"c17","scenario":"typ/func","schema_version":1}"#,
+        // Pinning the current version is the same request.
+        assert!(parse_request(
+            r#"{"op":"paths","circuit":"c17","scenario":"typ/func","schema_version":2}"#
         )
-        .unwrap_err();
-        assert!(err.contains("schema_version 2"), "{err}");
+        .is_ok());
+    }
 
-        // Versions this daemon does not speak are rejected outright.
-        let err = parse_request(r#"{"op":"status","schema_version":3}"#).unwrap_err();
-        assert!(err.contains("unsupported schema_version 3"), "{err}");
-        let err = parse_request(r#"{"op":"status","schema_version":0}"#).unwrap_err();
-        assert!(err.contains("unsupported schema_version 0"), "{err}");
+    #[test]
+    fn schema_versions_other_than_2_are_refused() {
+        for v in [1, 0, 3] {
+            let err =
+                parse_request(&format!(r#"{{"op":"status","schema_version":{v}}}"#)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unsupported schema_version {v} (this daemon speaks 2)")
+            );
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn assert_eco_identity(
         }
 
         let upd_cfg = per_src.clone().with_source_filter(Arc::new(dirty));
-        let upd = PathEnumerator::with_prebuilt(&edited, lib, tlib, upd_cfg, kernel, None);
+        let upd = PathEnumerator::with_prebuilt(&edited, lib, tlib, upd_cfg, Some(kernel), None);
         let stats = cache.update(&upd);
         assert!(!stats.truncated, "{name}: incremental update truncated");
         let spliced = CertificateSet::new(&edited, 60.0, cache.splice());

@@ -2,12 +2,14 @@
 //!
 //! The kernel layer (`sta_charlib::kernel`) folds every fitted 4-variable
 //! polynomial at the corner's fixed `(T, VDD)` into a dense 2-D Horner
-//! table. The design invariant is **bit-identity**: the folded kernels
-//! share their arithmetic with `PolyModel::eval`, so a compiled
-//! enumeration must reproduce the interpreted engine's path sets and
-//! arrivals exactly, at any thread count. These tests pin that invariant
-//! on every arc of a characterized library (property-based, random
-//! operating points) and end-to-end on catalog circuits.
+//! table, and the enumerator evaluates every delay through it. The design
+//! invariant is **bit-identity**: the folded kernels share their
+//! arithmetic with `PolyModel::eval`, so every certificate the enumerator
+//! emits must carry exactly the arrivals, slews and per-gate delays the
+//! interpreted calculator (`delaycalc::path_delay`) recomputes, at any
+//! thread count. These tests pin that invariant on every arc of a
+//! characterized library (property-based, random operating points) and
+//! end-to-end on catalog circuits.
 
 use std::sync::OnceLock;
 
@@ -16,7 +18,9 @@ use proptest::prelude::*;
 use sta_cells::{Corner, Edge, Library, Technology};
 use sta_charlib::{characterize, CharConfig, TimingLibrary};
 use sta_circuits::catalog;
-use sta_core::{EnumerationConfig, EnumerationStats, PathEnumerator, TruePath};
+use sta_core::{
+    path_delay, CertificateSet, EnumerationConfig, EnumerationStats, PathEnumerator, TruePath,
+};
 
 fn setup() -> (&'static Library, &'static TimingLibrary, Technology) {
     static LIB: OnceLock<Library> = OnceLock::new();
@@ -27,10 +31,6 @@ fn setup() -> (&'static Library, &'static TimingLibrary, Technology) {
         characterize(lib, &tech, &CharConfig::fast()).expect("characterization succeeds")
     });
     (lib, tlib, tech)
-}
-
-fn bytes(paths: &[TruePath]) -> String {
-    serde_json::to_string(paths).expect("paths serialize")
 }
 
 proptest! {
@@ -83,63 +83,69 @@ fn run(
     lib: &Library,
     tlib: &TimingLibrary,
     cfg: &EnumerationConfig,
-    kernels: bool,
     threads: usize,
 ) -> (Vec<TruePath>, EnumerationStats) {
-    let cfg = cfg
-        .clone()
-        .with_compiled_kernels(kernels)
-        .with_threads(threads);
-    PathEnumerator::new(nl, lib, tlib, cfg).run()
+    PathEnumerator::new(nl, lib, tlib, cfg.clone().with_threads(threads)).run()
 }
 
-/// A compiled run reproduces the interpreted engine's path set — nodes,
-/// arcs, witness vectors, and every arrival/slew bit — serially and at
-/// several thread counts, in full enumeration and N-worst mode.
+/// Every certificate's arrival, endpoint slew and per-gate delays equal
+/// the interpreted stand-alone calculator's to the bit, and the run's
+/// certificate bytes are identical at 1, 2 and 3 threads — in full
+/// enumeration and N-worst mode.
 #[test]
-fn compiled_runs_reproduce_interpreted_path_sets() {
+fn kernel_arrivals_match_the_interpreted_calculator() {
     let (lib, tlib, tech) = setup();
+    let corner = Corner::nominal(&tech);
     for (name, nworst) in [("c17", None), ("sample", None), ("c432", Some(20))] {
         let nl = catalog::mapped(name, lib).unwrap().unwrap();
-        let mut cfg = EnumerationConfig::new(Corner::nominal(&tech));
+        let mut cfg = EnumerationConfig::new(corner);
         if let Some(n) = nworst {
             cfg = cfg.with_n_worst(n);
         }
-        let (interpreted, int_stats) = run(&nl, lib, tlib, &cfg, false, 1);
-        assert!(
-            !interpreted.is_empty(),
-            "{name}: interpreted run found paths"
-        );
-        assert_eq!(int_stats.compiled_evals, 0);
-        assert!(int_stats.fallback_evals > 0);
-        let reference = bytes(&interpreted);
-        for threads in [1, 2, 3] {
-            let (compiled, stats) = run(&nl, lib, tlib, &cfg, true, threads);
+        let (paths, _) = run(&nl, lib, tlib, &cfg, 1);
+        assert!(!paths.is_empty(), "{name}: run found paths");
+        for (i, p) in paths.iter().enumerate() {
+            for (launch, timing) in [(Edge::Rise, &p.rise), (Edge::Fall, &p.fall)] {
+                let Some(t) = timing else { continue };
+                let oracle = path_delay(&nl, tlib, p, launch, cfg.input_slew, corner).unwrap();
+                let slew = oracle.stages.last().map_or(cfg.input_slew, |s| s.1);
+                let delays: Vec<u64> = oracle.stages.iter().map(|s| s.0.to_bits()).collect();
+                let claimed: Vec<u64> = t.gate_delays.iter().map(|d| d.to_bits()).collect();
+                assert_eq!(
+                    t.arrival.to_bits(),
+                    oracle.total.to_bits(),
+                    "{name} path {i} {launch:?}: arrival {} vs {}",
+                    t.arrival,
+                    oracle.total
+                );
+                assert_eq!(t.slew.to_bits(), slew.to_bits(), "{name} path {i}: slew");
+                assert_eq!(claimed, delays, "{name} path {i} {launch:?}: gate delays");
+            }
+        }
+        let reference = CertificateSet::new(&nl, cfg.input_slew, paths).to_json();
+        for threads in [2, 3] {
+            let (paths, _) = run(&nl, lib, tlib, &cfg, threads);
             assert_eq!(
-                bytes(&compiled),
+                CertificateSet::new(&nl, cfg.input_slew, paths).to_json(),
                 reference,
-                "{name}: compiled x{threads} diverged from the interpreted engine"
+                "{name}: x{threads} diverged from the serial run"
             );
-            assert_eq!(stats.fallback_evals, 0, "{name}: kernel table not used");
-            assert!(stats.compiled_evals > 0, "{name}: kernel table not used");
         }
     }
 }
 
-/// The kernel/scratch stats counters are wired through both engines:
-/// compiled and interpreted runs take the same decisions, and the scratch
-/// high-water marks are plausible (path HWM covers the longest path).
+/// The kernel/scratch stats counters are wired through the engine: every
+/// run evaluates through the kernel table, and the scratch high-water
+/// marks are plausible (path HWM covers the longest path).
 #[test]
 fn kernel_stats_are_consistent() {
     let (lib, tlib, tech) = setup();
     let nl = catalog::mapped("c17", lib).unwrap().unwrap();
     let cfg = EnumerationConfig::new(Corner::nominal(&tech));
-    let (paths, compiled) = run(&nl, lib, tlib, &cfg, true, 1);
-    let (_, interpreted) = run(&nl, lib, tlib, &cfg, false, 1);
-    assert_eq!(compiled.decisions, interpreted.decisions);
-    assert_eq!(compiled.compiled_evals, interpreted.fallback_evals);
-    assert_eq!(compiled.scratch_path_hwm, interpreted.scratch_path_hwm);
+    let (paths, stats) = run(&nl, lib, tlib, &cfg, 1);
+    assert!(stats.compiled_evals > 0, "kernel table not used");
+    assert_eq!(stats.fallback_evals, 0);
     let longest = paths.iter().map(|p| p.nodes.len()).max().unwrap();
-    assert!(compiled.scratch_path_hwm >= longest);
-    assert!(compiled.scratch_side_hwm > 0, "c17 has side inputs");
+    assert!(stats.scratch_path_hwm >= longest);
+    assert!(stats.scratch_side_hwm > 0, "c17 has side inputs");
 }

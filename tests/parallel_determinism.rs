@@ -64,11 +64,10 @@ fn full_enumeration_is_byte_identical_across_thread_counts() {
                 "{name}: {threads}-thread run() differs from serial"
             );
             // Search effort is schedule-independent in full enumeration;
-            // only the cache-hit counters depend on how the roots were
+            // only the cache-hit counter depends on how the roots were
             // partitioned over workers.
             let mut normalized = par_stats;
             normalized.justify_cache_hits = serial_stats.justify_cache_hits;
-            normalized.model_cache_hits = serial_stats.model_cache_hits;
             assert_eq!(serial_stats, normalized, "{name}: {threads}-thread stats");
 
             // The streamed emission order equals the serial order, not
