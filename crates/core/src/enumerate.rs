@@ -15,13 +15,13 @@
 //! Both launch polarities are traced simultaneously through the dual-value
 //! logic system (`sta-logic`), so each path is traversed once.
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::Serialize;
 use sta_cells::{Corner, Edge, Library, Polarity};
 use sta_charlib::{CompiledCorner, TimingLibrary};
-use sta_logic::{toggle_analysis, Dual, ImplicationEngine, Mask, Schedule, Toggle, TriVal, V9};
+use sta_logic::{Dual, ImplicationEngine, Mask, Schedule, Toggle, TriVal, V9};
 
 use crate::bitsim::BitsimFilter;
 use crate::justify::{JustifyBudget, JustifyCache, JustifyOutcome, JustifyScratch};
@@ -29,6 +29,7 @@ use sta_netlist::{GateId, GateKind, NetId, Netlist};
 
 use crate::arrival::ArcBounds;
 use crate::learn::{self, ConeScratch, NogoodKey, NogoodStore, NogoodView};
+use crate::parallel::{decode_bound, encode_bound, RunBudget};
 use crate::path::{LaunchTiming, PathArc, PiValue, TruePath};
 
 /// Configuration of a true-path enumeration run.
@@ -44,11 +45,12 @@ pub struct EnumerationConfig {
     /// Safety margin of the static pruning bound (only used with
     /// `n_worst`).
     pub prune_margin: f64,
-    /// Abort the run after this many search decisions (0 = unlimited).
-    /// When hit, [`EnumerationStats::truncated`] is set.
+    /// Abort the run after this many search decisions (0 = unlimited),
+    /// counted across the whole run at every thread count. When hit,
+    /// [`EnumerationStats::truncated`] is set.
     pub max_decisions: u64,
-    /// Stop after this many emitted paths (safety valve for pathological
-    /// circuits).
+    /// Stop after this many emitted paths, counted across the whole run
+    /// (safety valve for pathological circuits).
     pub max_paths: Option<usize>,
     /// Effort cap per justification call (0 = unlimited). Refutations of
     /// unsatisfiable requirement sets over reconvergent XOR logic are
@@ -56,14 +58,15 @@ pub struct EnumerationConfig {
     /// branch is dropped and counted in
     /// [`EnumerationStats::justify_aborts`].
     pub justify_decision_limit: u64,
-    /// Worker threads for the enumeration (1 = the serial engine). With
-    /// more than one thread the search roots — (primary input, launch
-    /// gate, sensitization vector) triples — are distributed over a
-    /// work-stealing pool; the emitted path set of
-    /// [`PathEnumerator::run`] is identical to the serial one at any
-    /// thread count (see the `parallel` module). `max_decisions` /
-    /// `max_paths` budgets apply per root task rather than globally in
-    /// parallel mode.
+    /// Workers of the root-task pool: the search roots — (primary input,
+    /// launch gate, sensitization vector) triples — are distributed over
+    /// a work-stealing pool, and one thread runs its single worker inline
+    /// on the calling thread (see the `parallel` module). The emitted
+    /// path set of [`PathEnumerator::run`] is identical at any thread
+    /// count whenever no budget bites. `max_decisions` / `max_paths` are
+    /// run-wide at every thread count; with W threads a truncated run
+    /// can overshoot them by up to a factor of W, and which paths it
+    /// found depends on the schedule.
     pub threads: usize,
     /// Pre-filter justification branch candidates through the 64-lane
     /// bit-parallel forward simulation (`sta_logic::bitsim`) before they
@@ -74,7 +77,7 @@ pub struct EnumerationConfig {
     /// Conflict-driven nogood learning plus the per-source dominance cut
     /// (see `sta_core::learn`). Refutation-only and bound-safe: the
     /// emitted path set and every certificate byte are identical either
-    /// way whenever the global `max_decisions` budget does not bite
+    /// way whenever the run-wide `max_decisions` budget does not bite
     /// (skipped refutations spend no decisions, so a budget-truncated
     /// run can truncate at a different point). Disable to time the
     /// unpruned search.
@@ -87,9 +90,9 @@ pub struct EnumerationConfig {
     /// threshold* (or in full enumeration) — the property the ECO
     /// incremental re-analysis relies on (see `sta_core::eco`).
     pub source_filter: Option<Arc<Vec<bool>>>,
-    /// Isolate the N-worst admission threshold per source: the threshold
-    /// and admitted-arrival set reset at every source switch (serial) and
-    /// the shared bound is per source (parallel), so each source's
+    /// Isolate the N-worst admission threshold per source: each worker
+    /// resets its threshold and admitted-arrival set whenever it installs
+    /// a new source, and the shared bound is per source, so each source's
     /// emitted superset contains its own N worst paths and is independent
     /// of which other sources run. Costs pruning power on multi-source
     /// runs; the point is cacheability, not speed.
@@ -149,7 +152,7 @@ impl EnumerationConfig {
         self
     }
 
-    /// Sets the worker thread count (values below 1 mean serial).
+    /// Sets the worker thread count (values below 1 mean one).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -444,127 +447,9 @@ impl<'a> PathEnumerator<'a> {
     /// search, but paths below the final threshold may reach the sink —
     /// the sink sees a superset of the N worst.
     pub fn run_with(&self, mut sink: impl FnMut(TruePath)) -> EnumerationStats {
-        let stats = if self.cfg.threads > 1 {
-            crate::parallel::run_parallel(self, &mut sink)
-        } else {
-            self.run_serial(&mut sink)
-        };
+        let stats = crate::parallel::run_pool(self, &mut sink);
         self.ingest_stats(&stats);
         stats
-    }
-
-    /// The serial engine behind [`PathEnumerator::run_with`].
-    fn run_serial(&self, sink: &mut dyn FnMut(TruePath)) -> EnumerationStats {
-        let nogoods = self.cfg.learning.then(|| {
-            self.nogood_store
-                .clone()
-                .unwrap_or_else(|| Arc::new(NogoodStore::new()))
-        });
-        let mut search = Search {
-            nl: self.nl,
-            lib: self.lib,
-            cfg: &self.cfg,
-            kernel: &self.kernel,
-            eng: ImplicationEngine::new(self.nl, self.lib),
-            remaining: self.prune_bounds(),
-            fanouts: self.fanouts(),
-            is_output: self.output_flags(),
-            reach: Vec::new(),
-            obligations: Vec::new(),
-            delays_r: Vec::new(),
-            delays_f: Vec::new(),
-            sink,
-            emitted: 0,
-            worst_arrivals: Vec::new(),
-            threshold: f64::NEG_INFINITY,
-            shared_bound: None,
-            justify_cache: JustifyCache::new(),
-            side_scratch: Vec::new(),
-            justify_todo: Vec::new(),
-            justify_scratch: JustifyScratch::default(),
-            filter: self.schedule.as_deref().map(BitsimFilter::new),
-            learn_eng: self
-                .cfg
-                .learning
-                .then(|| ImplicationEngine::new(self.nl, self.lib)),
-            nogoods,
-            nogood_view: NogoodView::new(),
-            cone_scratch: ConeScratch::default(),
-            learn_todo: Vec::new(),
-            learn_scratch: JustifyScratch::default(),
-            arc_bounds: self.learn_arc_bounds(),
-            tight_rem: None,
-            stats: EnumerationStats::default(),
-            progress: self.cfg.obs.progress(),
-            justify_hist: self.cfg.obs.histogram("justify.decisions_per_call"),
-            path_len_hist: self.cfg.obs.histogram("enumerate.path_gates"),
-            bound_updates: self.cfg.obs.counter("enumerate.bound_updates"),
-        };
-        // Path stacks live outside the source loop: one allocation for the
-        // whole run.
-        let mut nodes: Vec<NetId> = Vec::new();
-        let mut arcs: Vec<PathArc> = Vec::new();
-        if let Some(f) = &self.cfg.source_filter {
-            assert_eq!(
-                f.len(),
-                self.nl.inputs().len(),
-                "source filter length must match the primary-input count"
-            );
-        }
-        for (pi_pos, &src) in self.nl.inputs().iter().enumerate() {
-            if search.stats.truncated {
-                break;
-            }
-            if let Some(f) = &self.cfg.source_filter {
-                if !f[pi_pos] {
-                    continue;
-                }
-            }
-            if self.cfg.per_source_n_worst {
-                // Threshold isolation: this source's admissions must not
-                // be pruned by what other sources emitted (and vice
-                // versa), so each source's emitted superset is a function
-                // of that source alone.
-                search.threshold = f64::NEG_INFINITY;
-                search.worst_arrivals.clear();
-            }
-            // Per-source static toggle analysis: O(1) refutation of
-            // stable-value requirements on nets that provably toggle
-            // (crucial on reconvergent XOR logic).
-            let deltas = toggle_analysis(self.nl, self.lib, src);
-            search.reach = sensitizable_reach(self.nl, self.lib, &deltas, &search.is_output);
-            search.tight_rem = search.arc_bounds.as_ref().map(|ab| {
-                crate::arrival::tightened_remaining(
-                    self.nl,
-                    self.lib,
-                    ab,
-                    &deltas,
-                    &search.is_output,
-                )
-            });
-            search.eng.set_toggles(Some(deltas));
-            if !search.reach[src.index()] {
-                search.eng.set_toggles(None);
-                continue;
-            }
-            let mark = search.eng.mark();
-            let conflicts = search.eng.assign(src, Dual::transition(false), Mask::BOTH);
-            let mask = Mask::BOTH.minus(conflicts);
-            if mask.any() {
-                let timing = PolTimings::launch(self.cfg.input_slew);
-                search.dfs(src, false, mask, timing, &mut nodes, &mut arcs);
-            }
-            search.eng.rollback(mark);
-            search.eng.set_toggles(None);
-            search.obligations.clear();
-        }
-        search.stats.justify_cache_hits = search.justify_cache.hits;
-        if let Some(f) = &search.filter {
-            search.stats.bitsim_words = f.words;
-            search.stats.bitsim_lanes_filtered = f.lanes_filtered;
-            search.stats.bitsim_exact_calls_saved = f.exact_calls_saved;
-        }
-        search.stats
     }
 
     /// Static pruning bounds for N-worst mode (`None` in full
@@ -605,9 +490,9 @@ impl<'a> PathEnumerator<'a> {
 
     /// Folds a finished run's statistics into the observer's metrics
     /// registry, and registers the full enumeration metric name set —
-    /// including the parallel-only counters — so that manifests from runs
-    /// at different thread counts stay structurally identical. Pure
-    /// side-state: a disabled observer makes this a no-op.
+    /// including the worker-side pool counters and histograms — so that
+    /// a run with no root tasks still yields a structurally complete
+    /// manifest. Pure side-state: a disabled observer makes this a no-op.
     fn ingest_stats(&self, stats: &EnumerationStats) {
         let obs = &self.cfg.obs;
         if !obs.is_enabled() {
@@ -650,8 +535,10 @@ impl<'a> PathEnumerator<'a> {
             .set(stats.scratch_side_hwm as f64);
         obs.gauge("enumerate.scratch_path_hwm")
             .set(stats.scratch_path_hwm as f64);
-        // Touching a handle registers the name; serial runs register the
-        // parallel counters too (at zero) for structural identity.
+        // Touching a handle registers the name. Workers bump these
+        // (`parallel.tasks` at every thread count, `parallel.steals` only
+        // with more than one worker); a run without root tasks has no
+        // workers and registers them here at zero.
         obs.counter("parallel.steals");
         obs.counter("parallel.tasks");
         obs.counter("enumerate.bound_updates");
@@ -798,10 +685,17 @@ pub(crate) struct Search<'a, 'b> {
     pub(crate) worst_arrivals: Vec<f64>,
     /// N-worst admission threshold (−∞ until the set is full).
     pub(crate) threshold: f64,
-    /// Globally-tightest published N-worst threshold, shared by all
-    /// workers of a parallel run (total-order f64 encoding, monotone
-    /// `fetch_max`; see the `parallel` module). `None` in serial runs.
-    pub(crate) shared_bound: Option<&'a AtomicU64>,
+    /// Tightest published N-worst threshold, shared by all workers of a
+    /// run (total-order f64 encoding, monotone `fetch_max`; see the
+    /// `parallel` module).
+    pub(crate) shared_bound: &'a AtomicU64,
+    /// Run-wide budget ledger shared by all workers (see the `parallel`
+    /// module's budget rules).
+    pub(crate) budget: &'a RunBudget,
+    /// The part of `stats.decisions` already added to `budget`.
+    pub(crate) flushed_decisions: u64,
+    /// The part of `emitted` already added to `budget`.
+    pub(crate) flushed_paths: usize,
     /// Memo table over justification candidate enumeration.
     pub(crate) justify_cache: JustifyCache,
     /// Shared stack of pending side assignments: each [`Search::try_arc`]
@@ -819,9 +713,9 @@ pub(crate) struct Search<'a, 'b> {
     /// with learning off). Reset before and after every replay; never
     /// carries search state.
     pub(crate) learn_eng: Option<ImplicationEngine<'a>>,
-    /// Shared learned-nogood store (`None` with learning off). Serial
-    /// runs own theirs; parallel workers clone one `Arc` (see
-    /// `sta_core::learn` for the sharing and soundness story).
+    /// Shared learned-nogood store (`None` with learning off). Every
+    /// worker of a run clones one `Arc` (see `sta_core::learn` for the
+    /// sharing and soundness story).
     pub(crate) nogoods: Option<Arc<NogoodStore>>,
     /// Per-worker epoch-validated read cache over the store.
     pub(crate) nogood_view: NogoodView,
@@ -861,53 +755,71 @@ impl Search<'_, '_> {
     /// drops a path that belongs in the final N — see the `parallel`
     /// module docs for the full argument.
     pub(crate) fn effective_threshold(&self) -> f64 {
-        match self.shared_bound {
-            Some(bound) => self.threshold.max(crate::parallel::decode_bound(
-                bound.load(std::sync::atomic::Ordering::Relaxed),
-            )),
-            None => self.threshold,
-        }
+        self.threshold
+            .max(decode_bound(self.shared_bound.load(Ordering::Relaxed)))
     }
 
     fn publish_threshold(&self) {
-        if let Some(bound) = self.shared_bound {
-            if self.threshold > f64::NEG_INFINITY {
-                bound.fetch_max(
-                    crate::parallel::encode_bound(self.threshold),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            }
+        if self.threshold > f64::NEG_INFINITY {
+            self.shared_bound
+                .fetch_max(encode_bound(self.threshold), Ordering::Relaxed);
         }
     }
 
+    /// Whether the run-wide decision budget is spent: the shared total
+    /// plus this worker's not-yet-added decisions reach `max_decisions`.
+    fn decisions_spent(&self) -> bool {
+        self.cfg.max_decisions != 0
+            && self.budget.decisions.load(Ordering::Relaxed) + self.stats.decisions
+                - self.flushed_decisions
+                >= self.cfg.max_decisions
+    }
+
+    /// Checks both run-wide budgets and latches `stats.truncated` when
+    /// either is spent.
     pub(crate) fn budget_exhausted(&mut self) -> bool {
-        if self.cfg.max_decisions != 0 && self.stats.decisions >= self.cfg.max_decisions {
+        if self.decisions_spent() {
             self.stats.truncated = true;
         }
         if let Some(mp) = self.cfg.max_paths {
-            if self.emitted >= mp {
+            if self.budget.paths.load(Ordering::Relaxed) + self.emitted - self.flushed_paths >= mp {
                 self.stats.truncated = true;
             }
         }
         self.stats.truncated
     }
 
-    fn dfs(
-        &mut self,
-        net: NetId,
-        parity: bool,
-        mask: Mask,
-        timing: PolTimings,
-        nodes: &mut Vec<NetId>,
-        arcs: &mut Vec<PathArc>,
-    ) {
-        nodes.clear();
-        arcs.clear();
-        self.dfs_inner(net, parity, mask, timing, nodes, arcs);
+    /// Adds this worker's decisions and admitted paths since the last
+    /// flush to the shared budget (called at every task boundary).
+    pub(crate) fn flush_budget(&mut self) {
+        self.budget.decisions.fetch_add(
+            self.stats.decisions - self.flushed_decisions,
+            Ordering::Relaxed,
+        );
+        self.budget
+            .paths
+            .fetch_add(self.emitted - self.flushed_paths, Ordering::Relaxed);
+        self.flushed_decisions = self.stats.decisions;
+        self.flushed_paths = self.emitted;
+    }
+
+    /// Pruning against the N-worst threshold. The per-source tightened
+    /// bound (learning mode) is never looser than the global structural
+    /// one, so preferring it only prunes more.
+    pub(crate) fn prunes(&self, net: NetId, mask: Mask, timing: &PolTimings) -> bool {
+        match self.tight_rem.as_ref().or(self.remaining.as_ref()) {
+            Some(rem) => {
+                let threshold = self.effective_threshold();
+                self.cfg.n_worst.is_some()
+                    && threshold > f64::NEG_INFINITY
+                    && timing.worst_alive(mask) + rem[net.index()] < threshold
+            }
+            None => false,
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn dfs_inner(
+    fn dfs(
         &mut self,
         net: NetId,
         parity: bool,
@@ -928,18 +840,7 @@ impl Search<'_, '_> {
             mask = self.emit(mask, &timing, nodes, arcs);
         }
         if mask.any() {
-            // Pruning against the N-worst threshold. The per-source
-            // tightened bound (learning mode) is never looser than the
-            // global structural one, so preferring it only prunes more.
-            let prune = if let Some(rem) = self.tight_rem.as_ref().or(self.remaining.as_ref()) {
-                let threshold = self.effective_threshold();
-                self.cfg.n_worst.is_some()
-                    && threshold > f64::NEG_INFINITY
-                    && timing.worst_alive(mask) + rem[net.index()] < threshold
-            } else {
-                false
-            };
-            if prune {
+            if self.prunes(net, mask, &timing) {
                 self.stats.pruned += 1;
             } else {
                 // The netlist borrow (`'a`, immutable for the whole run)
@@ -987,8 +888,7 @@ impl Search<'_, '_> {
         nodes: &mut Vec<NetId>,
         arcs: &mut Vec<PathArc>,
     ) {
-        // Root-task boundary (serial and parallel alike): the filter's
-        // probing throttle must not carry state between tasks, or its
+        // Root-task boundary: the filter's probing throttle must not carry state between tasks, or its
         // counters would depend on how tasks are sharded across workers.
         if arcs.is_empty() {
             if let Some(f) = self.filter.as_mut() {
@@ -1111,7 +1011,7 @@ impl Search<'_, '_> {
                         polarity,
                     });
                     let inverted = polarity == Polarity::Inverting;
-                    self.dfs_inner(out, parity ^ inverted, m3, new_timing, nodes, arcs);
+                    self.dfs(out, parity ^ inverted, m3, new_timing, nodes, arcs);
                     arcs.pop();
                     self.delays_r.pop();
                     self.delays_f.pop();
@@ -1461,23 +1361,13 @@ impl Search<'_, '_> {
             p.decisions
                 .fetch_add(budget.decisions, std::sync::atomic::Ordering::Relaxed);
         }
-        if self.cfg.max_decisions != 0 && self.stats.decisions >= self.cfg.max_decisions {
+        if self.decisions_spent() {
             self.stats.truncated = true;
         }
         match out {
             JustifyOutcome::Satisfied(m) => (Some(m), false),
             JustifyOutcome::BudgetExhausted => {
                 self.stats.justify_aborts += 1;
-                if std::env::var_os("STA_DEBUG_JUSTIFY").is_some() {
-                    eprintln!(
-                        "justify abort: {} backtracks, obligations {:?}",
-                        budget.backtracks,
-                        self.obligations
-                            .iter()
-                            .map(|n| self.nl.net_label(*n))
-                            .collect::<Vec<_>>()
-                    );
-                }
                 (None, false)
             }
             JustifyOutcome::Unsatisfiable => (None, true),

@@ -3,8 +3,8 @@
 //! The enumeration DFS refutes the same side-input assignments over and
 //! over: every partial path that reaches a gate through the same (pin,
 //! vector) arc re-runs the same backward justification of the same side
-//! requirements, and in the parallel engine every *root task* repeats the
-//! refutations its siblings already paid for. This module caches those
+//! requirements, and every *root task* repeats the refutations its
+//! siblings already paid for. This module caches those
 //! infeasibility proofs as **nogoods** — small sets of required net
 //! values that provably admit no primary-input witness under the current
 //! launch source — so a dead branch is refuted once per run instead of
@@ -83,8 +83,8 @@
 //! deltas are per-source, so proofs never transfer across sources, and
 //! the arc key keeps the candidate lists short and aligned with the one
 //! call site that consults them. Within a source the same arc is tried
-//! from many partial paths (serial) and many root tasks (parallel);
-//! that is the reuse being harvested.
+//! from many partial paths and many root tasks; that is the reuse being
+//! harvested.
 //!
 //! # Extraction: most general candidate first
 //!
@@ -117,12 +117,12 @@
 //! never *results*, which is why the store needs no cross-thread
 //! ordering beyond the locks themselves.
 //!
-//! The only engine-visible coupling is the global decision budget
+//! The only engine-visible coupling is the run-wide decision budget
 //! (`EnumerationConfig::max_decisions`): skipped justification calls do
 //! not spend decisions, so a run that *truncates on that budget* can
 //! truncate at a different point with learning on. The catalog budgets
 //! are far above what any pinned circuit spends; byte identity is
-//! guaranteed whenever the global budget does not bite.
+//! guaranteed whenever the budget does not bite.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -194,7 +194,7 @@ pub struct Nogood {
 }
 
 /// Sharded, epoch-published store of learned nogoods, shared by every
-/// worker of a run (and used single-threaded by the serial engine).
+/// worker of a run (a one-thread run has a single worker).
 #[derive(Debug)]
 pub struct NogoodStore {
     shards: Vec<RwLock<HashMap<NogoodKey, Arc<Vec<Nogood>>>>>,

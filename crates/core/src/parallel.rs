@@ -1,50 +1,60 @@
-//! Parallel true-path enumeration over a work-stealing pool.
+//! Root-task enumeration over a work-stealing pool — the enumerator's
+//! only driver.
 //!
 //! The search space of the single-pass algorithm shards naturally into
 //! **root tasks**: one per (primary input, launch-gate, sensitization
 //! vector) triple, i.e. one per first arc out of a source. Each subtree is
 //! independent given a private implication engine, so the tasks are
 //! distributed over a crossbeam deque pool (global FIFO injector,
-//! per-worker deques, random-victim stealing) and every worker runs the
-//! unchanged serial [`Search`] machinery with its own engine and its own
-//! justification / delay-model memo tables.
+//! per-worker FIFO deques, stealing from siblings) and every worker runs
+//! the [`Search`] machinery with its own engine and its own justification
+//! memo table. `threads = 1` is this pool with one worker, run inline on
+//! the calling thread: no spawned thread, no channel, no reorder window —
+//! it opens the tasks in order and hands each path straight to the
+//! caller's sink.
 //!
 //! # Deterministic merge
 //!
-//! Tasks are generated in the exact order the serial engine would open
-//! them and carry a sequence number. Workers buffer the paths of one task
-//! and send `(seq, paths)` over a channel; the coordinator releases
-//! buffers to the caller's sink strictly in sequence order. In full
-//! enumeration this makes the `run_with` stream — and therefore the
-//! `run` result — byte-identical to the serial engine at any thread
-//! count.
+//! Tasks are generated in the order a single-pass DFS over the sources
+//! opens them and carry a sequence number. With several workers, each
+//! buffers the paths of one task and sends `(seq, paths)` over a channel;
+//! the coordinator releases buffers to the caller's sink strictly in
+//! sequence order. In full enumeration this makes the `run_with` stream —
+//! and therefore the `run` result — byte-identical at any thread count.
 //!
 //! # Shared pruning bound (N-worst mode)
 //!
-//! Each worker keeps the serial engine's local admission threshold (its
-//! N-th-largest admitted arrival) and additionally publishes it to an
-//! `AtomicU64` holding a total-order encoding of the `f64` bound
-//! (monotone `fetch_max`, relaxed ordering — the bound is a pure
-//! performance hint and never affects correctness). Soundness: a worker's
-//! N-th-largest admitted arrival never exceeds the global N-th-largest
-//! `T` (its admissions are a subset of all paths), so the effective
-//! threshold `max(local, shared)` is always ≤ `T`; with tie-inclusive
-//! admission (`w < threshold` rejects, ties pass) every path with
-//! arrival ≥ `T` reaches the sink under any schedule. `run` then sorts by
-//! the canonical total order of [`TruePath::canonical_cmp`] and truncates
-//! to N — identical output to serial, though the *superset* streamed by
-//! `run_with` (and the search-effort counters) may differ with the
-//! schedule.
+//! Each worker keeps a local admission threshold (its N-th-largest
+//! admitted arrival) and publishes it to an `AtomicU64` holding a
+//! total-order encoding of the `f64` bound (monotone `fetch_max`, relaxed
+//! ordering — the bound is a pure performance hint and never affects
+//! correctness). Soundness: a worker's N-th-largest admitted arrival
+//! never exceeds the global N-th-largest `T` (its admissions are a subset
+//! of all paths), so the effective threshold `max(local, shared)` is
+//! always ≤ `T`; with tie-inclusive admission (`w < threshold` rejects,
+//! ties pass) every path with arrival ≥ `T` reaches the sink under any
+//! schedule. `run` then sorts by the canonical total order of
+//! [`TruePath::canonical_cmp`] and truncates to N — identical output at
+//! any thread count, though the *superset* streamed by `run_with` (and
+//! the search-effort counters) may differ with the schedule.
 //!
 //! # Budgets
 //!
-//! `max_decisions` / `max_paths` are enforced **per root task** here (the
-//! serial engine enforces them globally); a parallel run is still
-//! deterministic for a fixed configuration, but when a budget actually
-//! bites, the truncation point differs from the serial engine's.
+//! `max_decisions` / `max_paths` count across the whole run at every
+//! thread count. Each worker adds its decisions and admitted paths to a
+//! shared [`RunBudget`] at every task boundary, and each budget check
+//! compares the worker's not-yet-added count plus the shared total
+//! against the cap. With one worker that is a single running count, so a
+//! truncated run stops at the same point every time. With W workers a
+//! worker sees the others' spending only at their task boundaries, so a
+//! truncated run spends at most W × (`max_decisions` +
+//! `justify_decision_limit` + 1) decisions and admits at most
+//! W × `max_paths` paths, and which paths it found depends on the
+//! schedule.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{mpsc, Arc};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -79,10 +89,18 @@ pub(crate) fn decode_bound(e: u64) -> f64 {
     f64::from_bits(if e >> 63 == 1 { e & !(1 << 63) } else { !e })
 }
 
+/// The run-wide `max_decisions` / `max_paths` ledger: what every worker
+/// had spent as of its last task boundary (see the module docs).
+#[derive(Default)]
+pub(crate) struct RunBudget {
+    pub(crate) decisions: AtomicU64,
+    pub(crate) paths: AtomicUsize,
+}
+
 /// One shard of the search: the first arc out of a source, identified by
-/// its position in the serial engine's opening order.
+/// its position in the single-pass opening order.
 struct RootTask {
-    /// Position in serial order — the merge key.
+    /// Position in opening order — the merge key.
     seq: usize,
     /// Index into the plan list.
     src: usize,
@@ -120,6 +138,7 @@ struct WorkerCtx<'a> {
     is_output: &'a [bool],
     injector: &'a Injector<RootTask>,
     shared_bound: &'a AtomicU64,
+    budget: &'a RunBudget,
     /// Per-source published bounds (indexed like `plans`), replacing the
     /// single `shared_bound` when
     /// [`EnumerationConfig::per_source_n_worst`] isolates the admission
@@ -135,8 +154,8 @@ struct WorkerCtx<'a> {
 }
 
 /// Runs the enumeration of `enumr` over `cfg.threads` workers, streaming
-/// emitted paths to `sink` in the serial engine's order.
-pub(crate) fn run_parallel(
+/// emitted paths to `sink` in opening order.
+pub(crate) fn run_pool(
     enumr: &PathEnumerator<'_>,
     sink: &mut dyn FnMut(TruePath),
 ) -> EnumerationStats {
@@ -153,8 +172,8 @@ pub(crate) fn run_parallel(
             .unwrap_or_else(|| Arc::new(NogoodStore::new()))
     });
 
-    // Plan phase: replicate the serial per-source setup and enumerate the
-    // root arcs in serial order.
+    // Plan phase: the per-source setup (toggle analysis, sensitizable
+    // reach, launch-conflict mask) and the root arcs in opening order.
     let mut plans: Vec<SrcPlan> = Vec::new();
     let mut tasks: Vec<RootTask> = Vec::new();
     let mut eng = ImplicationEngine::new(nl, lib);
@@ -223,9 +242,10 @@ pub(crate) fn run_parallel(
     for t in tasks {
         injector.push(t);
     }
-    let locals: Vec<Worker<RootTask>> = (0..threads).map(|_| Worker::new_fifo()).collect();
+    let mut locals: Vec<Worker<RootTask>> = (0..threads).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<RootTask>> = locals.iter().map(Worker::stealer).collect();
     let shared_bound = AtomicU64::new(encode_bound(f64::NEG_INFINITY));
+    let budget = RunBudget::default();
     // Per-source bounds for threshold isolation (see the config docs):
     // one atomic per planned source, so workers on the same source still
     // share pruning progress while sources stay independent.
@@ -246,10 +266,16 @@ pub(crate) fn run_parallel(
         is_output: &is_output,
         injector: &injector,
         shared_bound: &shared_bound,
+        budget: &budget,
         src_bounds: src_bounds.as_deref(),
         nogoods,
         arc_bounds,
     };
+
+    if threads == 1 {
+        let local = locals.pop().expect("one worker");
+        return worker_loop(&ctx, local, &stealers, sink, &mut |_| true);
+    }
 
     let (tx, rx) = mpsc::channel::<(usize, Vec<TruePath>)>();
     let result = crossbeam::scope(|s| {
@@ -258,22 +284,23 @@ pub(crate) fn run_parallel(
             let tx = tx.clone();
             let ctx = &ctx;
             let stealers = &stealers;
-            handles.push(s.spawn(move |_| worker_loop(ctx, local, stealers, tx)));
+            handles.push(s.spawn(move |_| {
+                // The task buffer the Search sink writes into; shipped to
+                // the coordinator with the task's sequence number.
+                let buf = RefCell::new(Vec::new());
+                let mut buffer = |p: TruePath| buf.borrow_mut().push(p);
+                let mut ship = |seq: usize| tx.send((seq, buf.take())).is_ok();
+                worker_loop(ctx, local, stealers, &mut buffer, &mut ship)
+            }));
         }
         drop(tx);
 
         // Reorder window: release task buffers to the sink strictly in
-        // serial (seq) order.
+        // opening (seq) order. The stream ends when every worker is done;
+        // a budget stop leaves gaps, released in order after the loop.
         let mut pending: BTreeMap<usize, Vec<TruePath>> = BTreeMap::new();
         let mut next = 0usize;
-        let mut received = 0usize;
-        while received < n_tasks {
-            let Ok((seq, paths)) = rx.recv() else {
-                // Senders gone early: a worker died; the scope will
-                // re-raise its panic after the joins below.
-                break;
-            };
-            received += 1;
+        for (seq, paths) in rx {
             pending.insert(seq, paths);
             while let Some(batch) = pending.remove(&next) {
                 for p in batch {
@@ -337,20 +364,16 @@ fn next_task(
     None
 }
 
+/// One worker: claims root tasks until the pool is empty or a budget is
+/// spent, hands every admitted path to `sink`, and calls `task_done` with
+/// the sequence number after each task (`false` stops the worker).
 fn worker_loop(
     ctx: &WorkerCtx<'_>,
     local: Worker<RootTask>,
     stealers: &[Stealer<RootTask>],
-    tx: mpsc::Sender<(usize, Vec<TruePath>)>,
+    sink: &mut dyn FnMut(TruePath),
+    task_done: &mut dyn FnMut(usize) -> bool,
 ) -> EnumerationStats {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    // The task buffer the Search sink writes into; drained after every
-    // task and shipped to the coordinator with the task's sequence number.
-    let buf: Rc<RefCell<Vec<TruePath>>> = Rc::new(RefCell::new(Vec::new()));
-    let buf_sink = Rc::clone(&buf);
-    let mut sink = move |p: TruePath| buf_sink.borrow_mut().push(p);
     let mut search = Search {
         nl: ctx.nl,
         lib: ctx.lib,
@@ -364,11 +387,14 @@ fn worker_loop(
         obligations: Vec::new(),
         delays_r: Vec::new(),
         delays_f: Vec::new(),
-        sink: &mut sink,
+        sink,
         emitted: 0,
         worst_arrivals: Vec::new(),
         threshold: f64::NEG_INFINITY,
-        shared_bound: Some(ctx.shared_bound),
+        shared_bound: ctx.shared_bound,
+        budget: ctx.budget,
+        flushed_decisions: 0,
+        flushed_paths: 0,
         justify_cache: JustifyCache::new(),
         side_scratch: Vec::new(),
         justify_todo: Vec::new(),
@@ -395,13 +421,16 @@ fn worker_loop(
     // here and bumped lock-free inside the task loop.
     let steals = ctx.cfg.obs.counter("parallel.steals");
     let tasks_done = ctx.cfg.obs.counter("parallel.tasks");
-    let mut total = EnumerationStats::default();
     let mut current_src: Option<usize> = None;
     let mut mask = Mask::NONE;
     // Path stacks live outside the task loop: one allocation per worker.
     let mut nodes: Vec<NetId> = Vec::new();
     let mut arcs: Vec<PathArc> = Vec::new();
+    let launch = PolTimings::launch(ctx.cfg.input_slew);
     while let Some(task) = next_task(&local, ctx.injector, stealers, &steals) {
+        if search.budget_exhausted() {
+            break;
+        }
         tasks_done.inc();
         let plan = &ctx.plans[task.src];
         if current_src != Some(task.src) {
@@ -426,28 +455,18 @@ fn worker_loop(
                 // source's own atomic.
                 search.threshold = f64::NEG_INFINITY;
                 search.worst_arrivals.clear();
-                search.shared_bound = Some(&bounds[task.src]);
+                search.shared_bound = &bounds[task.src];
+            }
+            // The source is the DFS root: it occupies the path stack and
+            // faces the N-worst prune check once, before its first arc.
+            search.stats.scratch_path_hwm = search.stats.scratch_path_hwm.max(1);
+            if mask.any() && search.prunes(plan.src, mask, &launch) {
+                search.stats.pruned += 1;
+                mask = Mask::NONE;
             }
             current_src = Some(task.src);
         }
-        // Budgets apply per root task (see the module docs).
-        search.stats = EnumerationStats::default();
-        search.emitted = 0;
-        let timing = PolTimings::launch(ctx.cfg.input_slew);
-        // Mirror of the serial root-node prune check (preferring the
-        // per-source tightened bound, exactly like `dfs_inner`).
-        let prune = match search.tight_rem.as_ref().or(search.remaining.as_ref()) {
-            Some(rem) => {
-                let threshold = search.effective_threshold();
-                ctx.cfg.n_worst.is_some()
-                    && threshold > f64::NEG_INFINITY
-                    && timing.worst_alive(mask) + rem[plan.src.index()] < threshold
-            }
-            None => false,
-        };
-        if prune {
-            search.stats.pruned += 1;
-        } else if mask.any() {
+        if mask.any() {
             nodes.clear();
             nodes.push(plan.src);
             arcs.clear();
@@ -457,17 +476,17 @@ fn worker_loop(
                 task.vector,
                 false,
                 mask,
-                timing,
+                launch,
                 &mut nodes,
                 &mut arcs,
             );
         }
-        total.merge(&search.stats);
-        let paths = std::mem::take(&mut *buf.borrow_mut());
-        if tx.send((task.seq, paths)).is_err() {
+        search.flush_budget();
+        if !task_done(task.seq) {
             break;
         }
     }
+    let mut total = search.stats;
     total.justify_cache_hits = search.justify_cache.hits;
     if let Some(f) = &search.filter {
         total.bitsim_words = f.words;

@@ -7,7 +7,7 @@
 //!   on `std::thread::scope`.
 //! * [`deque`] — `Injector` / `Worker` / `Stealer` work-stealing queues.
 //!   The shim backs them with mutex-guarded `VecDeque`s rather than
-//!   lock-free Chase–Lev deques; same semantics (FIFO injector, LIFO
+//!   lock-free Chase–Lev deques; same semantics (FIFO injector, FIFO
 //!   worker, FIFO steal), more contention under heavy stealing — fine for
 //!   the coarse-grained root tasks the enumerator distributes.
 
@@ -145,7 +145,7 @@ pub mod deque {
             for t in moved {
                 dst.push_back(t);
             }
-            let first = dst.pop_back().expect("just pushed at least one task");
+            let first = dst.pop_front().expect("just pushed at least one task");
             Steal::Success(first)
         }
 
@@ -155,8 +155,8 @@ pub mod deque {
         }
     }
 
-    /// A per-thread queue; the owner pushes and pops at the back (LIFO),
-    /// stealers take from the front (FIFO).
+    /// A per-thread FIFO queue: the owner pushes at the back and pops from
+    /// the front, and stealers take from the front too.
     #[derive(Debug)]
     pub struct Worker<T> {
         q: Arc<Mutex<VecDeque<T>>>,
@@ -170,19 +170,14 @@ pub mod deque {
             }
         }
 
-        /// Creates an empty LIFO worker queue.
-        pub fn new_lifo() -> Self {
-            Self::new_fifo()
-        }
-
-        /// Pushes a task onto the owner's end.
+        /// Pushes a task at the back.
         pub fn push(&self, task: T) {
             locked(&self.q).push_back(task);
         }
 
-        /// Pops a task from the owner's end.
+        /// Pops the oldest task.
         pub fn pop(&self) -> Option<T> {
-            locked(&self.q).pop_back()
+            locked(&self.q).pop_front()
         }
 
         /// Creates a stealer handle for other threads.
@@ -196,7 +191,7 @@ pub mod deque {
         }
     }
 
-    /// A handle that steals from the opposite end of a [`Worker`]'s queue.
+    /// A handle that steals the oldest task of a [`Worker`]'s queue.
     #[derive(Debug)]
     pub struct Stealer<T> {
         q: Arc<Mutex<VecDeque<T>>>,
@@ -233,15 +228,15 @@ pub mod deque {
         }
 
         #[test]
-        fn worker_lifo_stealer_fifo() {
+        fn worker_owner_pops_oldest() {
             let w = Worker::new_fifo();
             let s = w.stealer();
             w.push(1);
             w.push(2);
             w.push(3);
-            assert_eq!(s.steal().success(), Some(1)); // oldest
-            assert_eq!(w.pop(), Some(3)); // newest
-            assert_eq!(w.pop(), Some(2));
+            assert_eq!(w.pop(), Some(1));
+            assert_eq!(s.steal().success(), Some(2));
+            assert_eq!(w.pop(), Some(3));
             assert_eq!(w.pop(), None);
         }
 
@@ -252,9 +247,9 @@ pub mod deque {
                 inj.push(i);
             }
             let w = Worker::new_fifo();
-            let got = inj.steal_batch_and_pop(&w).success();
-            assert!(got.is_some());
-            assert!(!w.is_empty());
+            assert_eq!(inj.steal_batch_and_pop(&w).success(), Some(0));
+            assert_eq!(w.pop(), Some(1));
+            assert_eq!(inj.steal().success(), Some(4));
         }
     }
 }

@@ -1,10 +1,12 @@
-//! Parallel enumeration is byte-identical to the serial engine.
+//! Enumeration is byte-identical at any thread count.
 //!
-//! The work-stealing pool (see `sta-core`'s `parallel` module) claims
-//! that `PathEnumerator::run` produces the same path list at any thread
-//! count, and that in full enumeration even the `run_with` *stream* is
-//! identical. These tests pin both claims on catalog circuits and on
-//! randomly generated logic.
+//! Every run goes through the root-task pool (see `sta-core`'s
+//! `parallel` module); one thread is the pool with one worker. The pool
+//! claims that `PathEnumerator::run` produces the same path list at any
+//! thread count, and that in full enumeration even the `run_with`
+//! *stream* is identical. These tests pin both claims on catalog circuits
+//! and on randomly generated logic, and pin that the `max_decisions` /
+//! `max_paths` budgets are run-wide at every thread count.
 
 use std::sync::OnceLock;
 
@@ -132,5 +134,48 @@ proptest! {
         let (serial, _) = run_at(&nl, lib, tlib, &cfg, 1);
         let (par, _) = run_at(&nl, lib, tlib, &cfg, 2);
         prop_assert_eq!(bytes(&serial), bytes(&par), "seed {}", seed);
+    }
+}
+
+/// The decision budget counts across the whole run, not per root task:
+/// each of W workers stops once the shared total it can see reaches the
+/// cap, so a truncated run spends at most W × (`max_decisions` +
+/// `justify_decision_limit` + 1) decisions.
+#[test]
+fn decision_budget_is_run_wide_at_every_thread_count() {
+    let (lib, tlib, tech) = setup();
+    let nl = catalog::mapped("c432", lib).unwrap().unwrap();
+    let mut cfg = EnumerationConfig::new(Corner::nominal(&tech)).with_n_worst(50);
+    cfg.max_decisions = 2_000;
+    for threads in [2, 4] {
+        let (_, stats) = run_at(&nl, lib, tlib, &cfg, threads);
+        assert!(stats.truncated, "{threads} threads: the budget bites");
+        let cap = threads as u64 * (cfg.max_decisions + cfg.justify_decision_limit + 1);
+        assert!(
+            stats.decisions <= cap,
+            "{threads} threads: {} decisions > {cap}",
+            stats.decisions
+        );
+    }
+}
+
+/// The path budget is run-wide too: a truncated full enumeration admits
+/// at most W × `max_paths` paths.
+#[test]
+fn path_budget_is_run_wide_at_every_thread_count() {
+    let (lib, tlib, tech) = setup();
+    let nl = catalog::mapped("c432", lib).unwrap().unwrap();
+    let mut cfg = EnumerationConfig::new(Corner::nominal(&tech));
+    cfg.max_paths = Some(10);
+    for threads in [2, 4] {
+        let mut streamed = 0usize;
+        let stats = PathEnumerator::new(&nl, lib, tlib, cfg.clone().with_threads(threads))
+            .run_with(|_| streamed += 1);
+        assert!(stats.truncated, "{threads} threads: the budget bites");
+        assert!(
+            streamed <= threads * 10,
+            "{threads} threads: {streamed} paths > {}",
+            threads * 10
+        );
     }
 }
