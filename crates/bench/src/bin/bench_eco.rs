@@ -100,11 +100,10 @@ fn main() {
 
         // Resident state, built once before the edit arrives (untimed:
         // the daemon amortizes it over the whole session).
-        let per_src = EnumerationConfig::new(corner)
+        let cache_cfg = EnumerationConfig::new(corner)
             .with_n_worst(n_worst)
-            .with_threads(threads)
-            .with_per_source_n_worst(true);
-        let enumr = PathEnumerator::new(&nl, lib, tlib, per_src.clone());
+            .with_threads(threads);
+        let enumr = PathEnumerator::new(&nl, lib, tlib, cache_cfg.clone());
         let (mut cache, stats) = SourceCache::build(&enumr);
         assert!(!stats.truncated, "{name}: resident build truncated");
         let kernel = enumr.kernel_arc();
@@ -117,7 +116,7 @@ fn main() {
         // resident kernel -> splice.
         let t0 = Instant::now();
         let dirty = dirty_sources(&edited, &edit);
-        let upd_cfg = per_src.clone().with_source_filter(Arc::new(dirty));
+        let upd_cfg = cache_cfg.clone().with_source_filter(Arc::new(dirty));
         let upd = PathEnumerator::with_prebuilt(&edited, lib, tlib, upd_cfg, Some(kernel), None);
         let stats = cache.update(&upd);
         let spliced = CertificateSet::new(&edited, 60.0, cache.splice());

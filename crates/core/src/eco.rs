@@ -18,22 +18,60 @@
 //!    every source is conservatively dirtied and the saving reduces to the
 //!    resident compiled state (kernel table, characterization).
 //!
-//! 2. **Per-source cache.** [`SourceCache`] stores, per primary input, the
-//!    canonical `n_worst` paths launched from that input, computed with
-//!    [`EnumerationConfig::per_source_n_worst`] threshold isolation so each
-//!    list is independent of which other sources ran. An incremental update
-//!    re-runs only the dirty sources (via
-//!    [`EnumerationConfig::source_filter`]) and [`SourceCache::splice`]
-//!    rebuilds the global answer: concatenate, sort by
-//!    [`TruePath::canonical_cmp`], truncate to `n_worst`.
+//! 2. **Per-source cache.** [`SourceCache`] files the paths of one
+//!    global N-worst search — the same search as a cold
+//!    [`PathEnumerator::run`] — under their launching primary input, and
+//!    records for every slot the *floor* it was searched under: the
+//!    search's final shared admission bound. An incremental update
+//!    re-searches only the dirty sources (the mask comes in through
+//!    [`EnumerationConfig::source_filter`]) with the shared bound seeded
+//!    from the clean slots, repairs any clean slot the edit left stale,
+//!    and [`SourceCache::splice`] rebuilds the global answer:
+//!    concatenate, sort by [`TruePath::canonical_cmp`], truncate to N.
 //!
-//! **Splice identity proof.** If a path `p` from source `s` is among the
-//! global N worst, then fewer than N paths precede it in the canonical
-//! order, so in particular fewer than N paths *from `s`* do: `p` is in
-//! `s`'s per-source top N. Hence the union of per-source top-N lists
-//! contains the global top N, and sorting the union canonically and
-//! truncating to N reproduces the cold run's result byte for byte. The
-//! guarantee requires untruncated searches
+//! **The invariant.** Slot `s` holds the canonical top N of source `s`'s
+//! paths whose worst arrival is at least `floor[s]`. Let `w_N` be the
+//! N-th worst arrival of the union of all slots (−∞ when the union holds
+//! fewer than N paths). The splice is exact when every slot holding
+//! fewer than N paths has `floor[s] ≤ w_N`.
+//!
+//! *Proof.* Take a path `p` of source `s` missing from slot `s`. If the
+//! slot is full, its N paths all precede `p` canonically (they are the
+//! top N of a set that either contains `p` or lies at or above
+//! `floor[s] > w(p)`), so `p` cannot be in the global top N. Otherwise
+//! `p` is hidden by the floor: `w(p) < floor[s] ≤ w_N(union) ≤
+//! w_N(global)` — the union is a set of real paths — so `p` falls
+//! strictly below the global N-th arrival. Hence the union contains the
+//! global top N, and sorting it canonically and truncating to N
+//! reproduces the cold run byte for byte. In full enumeration every
+//! floor is −∞ and every slot is complete.
+//!
+//! **Why the searches keep it.** Thresholds only rise during a search
+//! and pruning and admission are tie-inclusive, so every searched path
+//! at or above the final bound `B` reached the sink (see the `parallel`
+//! module): the slot invariant holds with `floor = B`, once paths below
+//! `B` are dropped. The floor condition needs `B ≤ w_N(union)`:
+//!
+//! * **Build.** One search over every source, starting at −∞. `B` is a
+//!   worker's N-th largest admission (or −∞), and those N paths are all
+//!   at or above `B`, so each sits in the union or is displaced from a
+//!   full slot by N paths at or above it: `B ≤ w_N`.
+//! * **Update, dirty search.** Clean slots hold unchanged, real paths,
+//!   so the N-th worst arrival among them is a lower bound on the new
+//!   `w_N`; the dirty sources are searched with the shared bound seeded
+//!   there, and their floors become the final bound (≤ `w_N` by the
+//!   build argument, the seed included).
+//! * **Update, repair.** A clean slot keeps its old floor. When the edit
+//!   made the top paths faster, `w_N` can fall below it, and a clean
+//!   slot holding fewer than N paths then hides paths that now belong
+//!   in the answer. Those stale slots are searched once more, seeded at
+//!   the current `w_N`. A repaired slot gets back every path of its
+//!   source at or above its new floor (up to N), and a floor above the
+//!   seed comes with N admitted paths at or above it, so the union still
+//!   holds N paths at or above the old `w_N`: `w_N` can only rise, every
+//!   other slot's condition survives, and one round is enough.
+//!
+//! The guarantee requires untruncated searches
 //! ([`EnumerationStats::truncated`] false on both sides) — decision and
 //! path budgets bite at run-dependent points.
 
@@ -115,15 +153,18 @@ pub fn dirty_sources(nl: &Netlist, edit: &GateEdit) -> Vec<bool> {
 /// Per-source top-N path cache backing incremental ECO re-analysis.
 ///
 /// Indexed by primary-input *position* (like [`Netlist::inputs`]); each
-/// slot holds that source's canonically ordered worst paths, truncated to
-/// the run's `n_worst` (or complete in full-enumeration mode). Built and
-/// updated only from enumerations configured with
-/// [`EnumerationConfig::per_source_n_worst`], which is what makes the
-/// per-source lists independent of each other and the splice sound.
+/// slot holds that source's canonically ordered worst paths at or above
+/// the slot's floor, truncated to the run's `n_worst` (or complete in
+/// full-enumeration mode). See the module documentation for the
+/// invariant that makes the splice exact.
 #[derive(Clone, Debug)]
 pub struct SourceCache {
     n_worst: Option<usize>,
     per_source: Vec<Vec<TruePath>>,
+    /// The admission bound each slot was last searched under.
+    floor: Vec<f64>,
+    /// Sources the last update's repair round re-searched.
+    repaired: usize,
 }
 
 fn pi_positions(nl: &Netlist) -> HashMap<NetId, usize> {
@@ -135,51 +176,46 @@ fn pi_positions(nl: &Netlist) -> HashMap<NetId, usize> {
 }
 
 impl SourceCache {
-    /// Runs a full per-source enumeration and caches every source's list.
+    /// Runs one global enumeration — the same search as a cold
+    /// [`PathEnumerator::run`], with the same statistics — and files its
+    /// paths per source.
     ///
     /// # Panics
     ///
-    /// Panics unless the enumerator's configuration has
-    /// [`EnumerationConfig::per_source_n_worst`] set and no
+    /// Panics if the configuration has a
     /// [`EnumerationConfig::source_filter`] (a build must cover all
     /// sources).
     pub fn build(enumr: &PathEnumerator) -> (SourceCache, EnumerationStats) {
         assert!(
-            enumr.cfg.per_source_n_worst,
-            "SourceCache requires per-source threshold isolation"
-        );
-        assert!(
             enumr.cfg.source_filter.is_none(),
             "SourceCache::build must enumerate every source"
         );
+        let n_sources = enumr.nl.inputs().len();
         let mut cache = SourceCache {
             n_worst: enumr.cfg.n_worst,
-            per_source: vec![Vec::new(); enumr.nl.inputs().len()],
+            per_source: vec![Vec::new(); n_sources],
+            floor: vec![f64::NEG_INFINITY; n_sources],
+            repaired: 0,
         };
-        let pos = pi_positions(enumr.nl);
-        let stats = enumr.run_with(|p| cache.per_source[pos[&p.source]].push(p));
-        for i in 0..cache.per_source.len() {
-            cache.normalize(i);
-        }
+        let stats = cache.search(enumr, &vec![true; n_sources], f64::NEG_INFINITY);
         (cache, stats)
     }
 
     /// Re-enumerates the sources selected by the enumerator's
     /// [`EnumerationConfig::source_filter`] (the dirty mask from
     /// [`dirty_sources`]) over the *edited* netlist and replaces their
-    /// cached lists; clean sources keep their previous lists.
+    /// cached lists, then re-searches any clean slot the edit left stale
+    /// (see the module documentation). The returned statistics cover
+    /// both searches; [`SourceCache::repaired_sources`] counts the
+    /// second. Each search has its own `max_decisions` / `max_paths`
+    /// budget, so a truncated update can spend up to twice the caps.
     ///
     /// # Panics
     ///
-    /// Panics unless the configuration has both
-    /// [`EnumerationConfig::per_source_n_worst`] and a source filter, or
-    /// when the enumerator's input count or `n_worst` disagrees with the
-    /// cache (an ECO edit never adds or removes primary inputs).
+    /// Panics unless the configuration has a source filter, or when the
+    /// enumerator's input count or `n_worst` disagrees with the cache (an
+    /// ECO edit never adds or removes primary inputs).
     pub fn update(&mut self, enumr: &PathEnumerator) -> EnumerationStats {
-        assert!(
-            enumr.cfg.per_source_n_worst,
-            "SourceCache requires per-source threshold isolation"
-        );
         let filter = enumr
             .cfg
             .source_filter
@@ -194,26 +230,75 @@ impl SourceCache {
             enumr.cfg.n_worst, self.n_worst,
             "incremental update must keep the cache's n_worst"
         );
-        for (i, &dirty) in filter.iter().enumerate() {
-            if dirty {
-                self.per_source[i].clear();
-            }
+        let mut stats = self.search_dirty(enumr, &filter);
+        stats.merge(&self.repair(enumr));
+        stats
+    }
+
+    /// The first half of [`SourceCache::update`]: re-searches the dirty
+    /// sources with the shared bound seeded at the N-th worst arrival of
+    /// the clean slots.
+    fn search_dirty(&mut self, enumr: &PathEnumerator, dirty: &[bool]) -> EnumerationStats {
+        let seed = self.nth_arrival(|i| !dirty[i]);
+        self.search(enumr, dirty, seed)
+    }
+
+    /// The second half of [`SourceCache::update`]: re-searches, seeded at
+    /// the splice's N-th worst arrival, every slot that holds fewer than
+    /// N paths under a floor above it.
+    fn repair(&mut self, enumr: &PathEnumerator) -> EnumerationStats {
+        let Some(n) = self.n_worst else {
+            return EnumerationStats::default();
+        };
+        let w_n = self.nth_arrival(|_| true);
+        let stale: Vec<bool> = (0..self.per_source.len())
+            .map(|i| self.per_source[i].len() < n && self.floor[i] > w_n)
+            .collect();
+        self.repaired = stale.iter().filter(|&&s| s).count();
+        if self.repaired == 0 {
+            return EnumerationStats::default();
+        }
+        self.search(enumr, &stale, w_n)
+    }
+
+    /// Clears the slots `mask` selects, searches their sources with the
+    /// shared N-worst bound starting at `bound`, and files the paths at
+    /// or above the final bound, which becomes the slots' floor.
+    fn search(&mut self, enumr: &PathEnumerator, mask: &[bool], bound: f64) -> EnumerationStats {
+        for (slot, _) in self.per_source.iter_mut().zip(mask).filter(|(_, &m)| m) {
+            slot.clear();
         }
         let pos = pi_positions(enumr.nl);
-        let stats = enumr.run_with(|p| self.per_source[pos[&p.source]].push(p));
-        for (i, &dirty) in filter.iter().enumerate() {
-            if dirty {
-                self.normalize(i);
+        let per_source = &mut self.per_source;
+        let (stats, floor) = enumr.run_sources(Some(mask), bound, &mut |p| {
+            per_source[pos[&p.source]].push(p)
+        });
+        for i in (0..mask.len()).filter(|&i| mask[i]) {
+            self.floor[i] = floor;
+            let slot = &mut self.per_source[i];
+            slot.retain(|p| p.worst_arrival() >= floor);
+            slot.sort_by(TruePath::canonical_cmp);
+            if let Some(n) = self.n_worst {
+                slot.truncate(n);
             }
         }
         stats
     }
 
-    fn normalize(&mut self, i: usize) {
-        self.per_source[i].sort_by(TruePath::canonical_cmp);
-        if let Some(n) = self.n_worst {
-            self.per_source[i].truncate(n);
+    /// The N-th worst arrival among the paths of the slots `include`
+    /// selects (−∞ when they hold fewer than N, or in full enumeration).
+    fn nth_arrival(&self, include: impl Fn(usize) -> bool) -> f64 {
+        let Some(k) = self.n_worst.and_then(|n| n.checked_sub(1)) else {
+            return f64::NEG_INFINITY;
+        };
+        let mut arrivals: Vec<f64> = (0..self.per_source.len())
+            .filter(|&i| include(i))
+            .flat_map(|i| self.per_source[i].iter().map(TruePath::worst_arrival))
+            .collect();
+        if k >= arrivals.len() {
+            return f64::NEG_INFINITY;
         }
+        *arrivals.select_nth_unstable_by(k, |a, b| b.total_cmp(a)).1
     }
 
     /// The global answer: all cached lists concatenated, canonically
@@ -249,6 +334,18 @@ impl SourceCache {
     pub fn source_paths(&self, i: usize) -> &[TruePath] {
         &self.per_source[i]
     }
+
+    /// The admission bound slot `i` was last searched under: the slot
+    /// holds every path of its source at or above it, up to `n_worst`.
+    pub fn floor(&self, i: usize) -> f64 {
+        self.floor[i]
+    }
+
+    /// How many sources the last [`SourceCache::update`]'s repair round
+    /// re-searched (0 after a build).
+    pub fn repaired_sources(&self) -> usize {
+        self.repaired
+    }
 }
 
 /// Which [`SourceCache`] structural invariant [`corrupt_source_cache`]
@@ -263,6 +360,9 @@ pub enum CacheCorruption {
     Unsort,
     /// Duplicate a path past the `n_worst` truncation limit (overfill).
     Overfill,
+    /// Raise the floor of a slot holding fewer than `n_worst` paths
+    /// above the splice's N-th arrival (stale floor).
+    RaiseFloor,
 }
 
 /// Fault injector: break exactly one structural invariant of a built
@@ -270,7 +370,8 @@ pub enum CacheCorruption {
 /// (cache untouched) when the cache has no slot shaped so the chosen
 /// corruption is observable — e.g. `Unsort` needs a slot with two
 /// strictly-ordered paths, `Misfile` needs at least two source slots
-/// with one non-empty.
+/// with one non-empty, `Overfill` a full slot, `RaiseFloor` one that is
+/// not full.
 pub fn corrupt_source_cache(cache: &mut SourceCache, mode: CacheCorruption) -> bool {
     match mode {
         CacheCorruption::Misfile => {
@@ -310,6 +411,16 @@ pub fn corrupt_source_cache(cache: &mut SourceCache, mode: CacheCorruption) -> b
                 }
             }
             false
+        }
+        CacheCorruption::RaiseFloor => {
+            let Some(n) = cache.n_worst else {
+                return false;
+            };
+            let Some(i) = cache.per_source.iter().position(|s| s.len() < n) else {
+                return false;
+            };
+            cache.floor[i] = f64::INFINITY;
+            true
         }
     }
 }
@@ -377,14 +488,62 @@ mod tests {
         assert!(dirty_sources(&nl, &edit2).iter().all(|&d| d));
     }
 
+    /// The build is the cold run's search: same statistics at one
+    /// thread, and its splice is the cold answer.
+    #[test]
+    fn build_runs_the_cold_search() {
+        let (lib, tlib, corner) = setup();
+        let nl = catalog::mapped("c432", &lib).unwrap().unwrap();
+        let cfg = EnumerationConfig::new(corner).with_n_worst(10);
+        let (cache, built) =
+            SourceCache::build(&PathEnumerator::new(&nl, &lib, &tlib, cfg.clone()));
+        let (cold, cold_stats) = PathEnumerator::new(&nl, &lib, &tlib, cfg).run();
+        assert!(!built.truncated);
+        assert_eq!(built, cold_stats);
+        assert_eq!(cache.splice(), cold);
+    }
+
+    /// An edit that speeds up the top paths of c432 leaves clean slots
+    /// whose floors sit above the new N-th arrival: the dirty search
+    /// alone splices a wrong answer, and the repair round mends it.
+    #[test]
+    fn repair_restores_the_cold_answer() {
+        let (lib, tlib, corner) = setup();
+        let mut nl = catalog::mapped("c432", &lib).unwrap().unwrap();
+        let cfg = EnumerationConfig::new(corner).with_n_worst(10);
+        let resize = |nl: &mut Netlist, idx: usize| {
+            let inst = nl.net_label(nl.gate(sta_netlist::GateId::from_index(idx)).output());
+            resize_gate(nl, &lib, &inst).unwrap()
+        };
+        for idx in 0..3 {
+            resize(&mut nl, idx);
+        }
+        let (mut cache, _) =
+            SourceCache::build(&PathEnumerator::new(&nl, &lib, &tlib, cfg.clone()));
+
+        let edit = resize(&mut nl, 3);
+        let dirty = dirty_sources(&nl, &edit);
+        let filtered = cfg.clone().with_source_filter(Arc::new(dirty.clone()));
+        let upd = PathEnumerator::new(&nl, &lib, &tlib, filtered);
+        let (cold, _) = PathEnumerator::new(&nl, &lib, &tlib, cfg).run();
+
+        assert!(!cache.search_dirty(&upd, &dirty).truncated);
+        assert_ne!(cache.splice(), cold, "the dirty search alone must miss");
+        assert!(!cache.repair(&upd).truncated);
+        assert!(cache.repaired_sources() > 0);
+        assert_eq!(cache.splice(), cold);
+        for i in 0..cache.num_sources() {
+            assert!(cache.source_paths(i).len() == 10 || cache.floor(i) <= cold[9].worst_arrival());
+        }
+    }
+
     #[test]
     fn spliced_cache_matches_cold_run_after_resize() {
         let (lib, tlib, corner) = setup();
         let mut nl = catalog::mapped("c17", &lib).unwrap().unwrap();
         let cfg = EnumerationConfig::new(corner).with_n_worst(10);
-        let per_src = cfg.clone().with_per_source_n_worst(true);
 
-        let enumr = PathEnumerator::new(&nl, &lib, &tlib, per_src.clone());
+        let enumr = PathEnumerator::new(&nl, &lib, &tlib, cfg.clone());
         let (mut cache, stats) = SourceCache::build(&enumr);
         assert!(!stats.truncated);
         let kernel = enumr.kernel_arc();
@@ -399,7 +558,7 @@ mod tests {
         let edit = swap_gate(&mut nl, &lib, &inst, "NAND2_X2").unwrap();
         assert!(!edit.function_changed);
         let dirty = dirty_sources(&nl, &edit);
-        let filtered = per_src.clone().with_source_filter(Arc::new(dirty));
+        let filtered = cfg.clone().with_source_filter(Arc::new(dirty));
         let upd = PathEnumerator::with_prebuilt(&nl, &lib, &tlib, filtered, Some(kernel), None);
         let stats = cache.update(&upd);
         assert!(!stats.truncated);

@@ -84,19 +84,12 @@ pub struct EnumerationConfig {
     pub learning: bool,
     /// Restricts the run to a subset of the primary inputs: entry `i`
     /// gates the source at position `i` of `Netlist::inputs()`. `None`
-    /// runs every source. The paths emitted for an enabled source are
-    /// identical to what a run over all sources emits for it *when
-    /// [`EnumerationConfig::per_source_n_worst`] isolates the admission
-    /// threshold* (or in full enumeration) — the property the ECO
-    /// incremental re-analysis relies on (see `sta_core::eco`).
+    /// runs every source. In N-worst mode the selected sources share one
+    /// admission threshold, so what a source emits depends on which
+    /// others run; `SourceCache::update` reads the filter as its dirty
+    /// mask and records the bound each source was searched under (see
+    /// `sta_core::eco`).
     pub source_filter: Option<Arc<Vec<bool>>>,
-    /// Isolate the N-worst admission threshold per source: each worker
-    /// resets its threshold and admitted-arrival set whenever it installs
-    /// a new source, and the shared bound is per source, so each source's
-    /// emitted superset contains its own N worst paths and is independent
-    /// of which other sources run. Costs pruning power on multi-source
-    /// runs; the point is cacheability, not speed.
-    pub per_source_n_worst: bool,
     /// Observability handle. Disabled by default; when enabled the run
     /// records phase spans, per-worker metrics and (if installed) progress
     /// counters. Observation is strictly read-only with respect to the
@@ -121,7 +114,6 @@ impl PartialEq for EnumerationConfig {
             && self.bitsim == other.bitsim
             && self.learning == other.learning
             && self.source_filter == other.source_filter
-            && self.per_source_n_worst == other.per_source_n_worst
     }
 }
 
@@ -141,7 +133,6 @@ impl EnumerationConfig {
             bitsim: true,
             learning: true,
             source_filter: None,
-            per_source_n_worst: false,
             obs: sta_obs::Observer::disabled(),
         }
     }
@@ -192,10 +183,11 @@ impl EnumerationConfig {
         self
     }
 
-    /// Isolates the N-worst admission threshold per source; see
-    /// [`EnumerationConfig::per_source_n_worst`].
-    pub fn with_per_source_n_worst(mut self, on: bool) -> Self {
-        self.per_source_n_worst = on;
+    /// Does nothing. Per-source threshold isolation is gone: the ECO
+    /// cache searches under the global N-worst threshold (see
+    /// `sta_core::eco`). Kept so existing callers still compile; it will
+    /// be removed.
+    pub fn with_per_source_n_worst(self, _on: bool) -> Self {
         self
     }
 }
@@ -447,9 +439,22 @@ impl<'a> PathEnumerator<'a> {
     /// search, but paths below the final threshold may reach the sink —
     /// the sink sees a superset of the N worst.
     pub fn run_with(&self, mut sink: impl FnMut(TruePath)) -> EnumerationStats {
-        let stats = crate::parallel::run_pool(self, &mut sink);
+        let filter = self.cfg.source_filter.as_deref().map(Vec::as_slice);
+        self.run_sources(filter, f64::NEG_INFINITY, &mut sink).0
+    }
+
+    /// [`PathEnumerator::run_with`] over the sources `sources` selects
+    /// (`None`: all), with the shared N-worst bound starting at `bound`;
+    /// also returns the final shared bound (see the `parallel` module).
+    pub(crate) fn run_sources(
+        &self,
+        sources: Option<&[bool]>,
+        bound: f64,
+        sink: &mut dyn FnMut(TruePath),
+    ) -> (EnumerationStats, f64) {
+        let (stats, bound) = crate::parallel::run_pool(self, sources, bound, sink);
         self.ingest_stats(&stats);
-        stats
+        (stats, bound)
     }
 
     /// Static pruning bounds for N-worst mode (`None` in full
@@ -680,8 +685,8 @@ pub(crate) struct Search<'a, 'b> {
     pub(crate) sink: &'b mut dyn FnMut(TruePath),
     /// Paths handed to the sink so far.
     pub(crate) emitted: usize,
-    /// Worst arrivals of admitted paths (threshold bookkeeping in N-worst
-    /// mode).
+    /// The N largest worst arrivals admitted so far (threshold
+    /// bookkeeping in N-worst mode; at most N + 1 entries).
     pub(crate) worst_arrivals: Vec<f64>,
     /// N-worst admission threshold (−∞ until the set is full).
     pub(crate) threshold: f64,
@@ -1156,16 +1161,13 @@ impl Search<'_, '_> {
             self.worst_arrivals.push(w);
             self.emitted += 1;
             (self.sink)(path);
-            // Keep the threshold set loosely bounded; refresh the
-            // admission threshold from the current N-th worst.
-            if self.worst_arrivals.len() >= 2 * n {
-                self.worst_arrivals.sort_by(|a, b| b.total_cmp(a));
-                self.worst_arrivals.truncate(n);
-            }
+            // Keep the N largest admitted arrivals, selected in place
+            // (no allocation, no sort); the N-th is the threshold.
             if self.worst_arrivals.len() >= n {
-                let mut arrivals = self.worst_arrivals.clone();
-                arrivals.sort_by(f64::total_cmp);
-                self.threshold = arrivals[arrivals.len() - n];
+                self.worst_arrivals
+                    .select_nth_unstable_by(n - 1, |a, b| b.total_cmp(a));
+                self.worst_arrivals.truncate(n);
+                self.threshold = self.worst_arrivals[n - 1];
                 self.bound_updates.inc();
                 if let Some(p) = &self.progress {
                     p.set_bound(self.threshold);

@@ -38,6 +38,12 @@
 //! any thread count, though the *superset* streamed by `run_with` (and
 //! the search-effort counters) may differ with the schedule.
 //!
+//! The bound starts at −∞ for a plain run. The ECO cache searches a
+//! subset of the sources with the bound seeded at the N-th worst arrival
+//! among paths it already holds — no higher than the N-th worst of the
+//! answer it assembles — and reads back the final bound: every searched
+//! path at or above it reached the sink (see `sta_core::eco`).
+//!
 //! # Budgets
 //!
 //! `max_decisions` / `max_paths` count across the whole run at every
@@ -54,7 +60,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -139,11 +145,6 @@ struct WorkerCtx<'a> {
     injector: &'a Injector<RootTask>,
     shared_bound: &'a AtomicU64,
     budget: &'a RunBudget,
-    /// Per-source published bounds (indexed like `plans`), replacing the
-    /// single `shared_bound` when
-    /// [`EnumerationConfig::per_source_n_worst`] isolates the admission
-    /// threshold per source. `None` otherwise.
-    src_bounds: Option<&'a [AtomicU64]>,
     /// Shared learned-nogood store, cloned into every worker's `Search`
     /// so clauses learned on one worker prune the others. `None` when
     /// `cfg.learning` is off.
@@ -154,11 +155,19 @@ struct WorkerCtx<'a> {
 }
 
 /// Runs the enumeration of `enumr` over `cfg.threads` workers, streaming
-/// emitted paths to `sink` in opening order.
+/// emitted paths to `sink` in opening order. `sources` selects the
+/// primary inputs to search by position (`None`: all of them), and the
+/// shared N-worst bound starts at `bound` instead of −∞ — any value at
+/// or below the N-th worst arrival of the answer the caller assembles
+/// (see `sta_core::eco`). Returns the run's statistics and its final
+/// shared bound: every selected path whose worst arrival is at least
+/// that bound reached `sink`.
 pub(crate) fn run_pool(
     enumr: &PathEnumerator<'_>,
+    sources: Option<&[bool]>,
+    bound: f64,
     sink: &mut dyn FnMut(TruePath),
-) -> EnumerationStats {
+) -> (EnumerationStats, f64) {
     let nl = enumr.nl;
     let lib = enumr.lib;
     let is_output = enumr.output_flags();
@@ -177,7 +186,7 @@ pub(crate) fn run_pool(
     let mut plans: Vec<SrcPlan> = Vec::new();
     let mut tasks: Vec<RootTask> = Vec::new();
     let mut eng = ImplicationEngine::new(nl, lib);
-    if let Some(f) = &enumr.cfg.source_filter {
+    if let Some(f) = sources {
         assert_eq!(
             f.len(),
             nl.inputs().len(),
@@ -185,10 +194,8 @@ pub(crate) fn run_pool(
         );
     }
     for (pi_pos, &src) in nl.inputs().iter().enumerate() {
-        if let Some(f) = &enumr.cfg.source_filter {
-            if !f[pi_pos] {
-                continue;
-            }
+        if sources.is_some_and(|f| !f[pi_pos]) {
+            continue;
         }
         let deltas = toggle_analysis(nl, lib, src);
         let reach = sensitizable_reach(nl, lib, &deltas, &is_output);
@@ -234,7 +241,7 @@ pub(crate) fn run_pool(
     }
     let n_tasks = tasks.len();
     if n_tasks == 0 {
-        return EnumerationStats::default();
+        return (EnumerationStats::default(), bound);
     }
 
     let threads = enumr.cfg.threads.clamp(1, n_tasks);
@@ -244,16 +251,8 @@ pub(crate) fn run_pool(
     }
     let mut locals: Vec<Worker<RootTask>> = (0..threads).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<RootTask>> = locals.iter().map(Worker::stealer).collect();
-    let shared_bound = AtomicU64::new(encode_bound(f64::NEG_INFINITY));
+    let shared_bound = AtomicU64::new(encode_bound(bound));
     let budget = RunBudget::default();
-    // Per-source bounds for threshold isolation (see the config docs):
-    // one atomic per planned source, so workers on the same source still
-    // share pruning progress while sources stay independent.
-    let src_bounds: Option<Vec<AtomicU64>> = enumr.cfg.per_source_n_worst.then(|| {
-        (0..plans.len())
-            .map(|_| AtomicU64::new(encode_bound(f64::NEG_INFINITY)))
-            .collect()
-    });
     let ctx = WorkerCtx {
         nl,
         lib,
@@ -267,14 +266,15 @@ pub(crate) fn run_pool(
         injector: &injector,
         shared_bound: &shared_bound,
         budget: &budget,
-        src_bounds: src_bounds.as_deref(),
         nogoods,
         arc_bounds,
     };
 
+    let final_bound = || decode_bound(shared_bound.load(Ordering::Relaxed));
     if threads == 1 {
         let local = locals.pop().expect("one worker");
-        return worker_loop(&ctx, local, &stealers, sink, &mut |_| true);
+        let stats = worker_loop(&ctx, local, &stealers, sink, &mut |_| true);
+        return (stats, final_bound());
     }
 
     let (tx, rx) = mpsc::channel::<(usize, Vec<TruePath>)>();
@@ -325,7 +325,7 @@ pub(crate) fn run_pool(
         total
     });
     match result {
-        Ok(stats) => stats,
+        Ok(stats) => (stats, final_bound()),
         Err(payload) => std::panic::resume_unwind(payload),
     }
 }
@@ -449,14 +449,6 @@ fn worker_loop(
             search.obligations.clear();
             search.delays_r.clear();
             search.delays_f.clear();
-            if let Some(bounds) = ctx.src_bounds {
-                // Threshold isolation: forget the previous source's
-                // admissions and publish/read bounds through this
-                // source's own atomic.
-                search.threshold = f64::NEG_INFINITY;
-                search.worst_arrivals.clear();
-                search.shared_bound = &bounds[task.src];
-            }
             // The source is the DFS root: it occupies the path stack and
             // faces the N-worst prune check once, before its first arc.
             search.stats.scratch_path_hwm = search.stats.scratch_path_hwm.max(1);

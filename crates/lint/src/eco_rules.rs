@@ -16,9 +16,11 @@
 //!   reachability argument.)
 //! * **ECO002** — structural `SourceCache` invariants behind the splice:
 //!   slot count equals the PI count, each slot is canonically sorted and
-//!   within `n_worst`, every cached path is filed under its own source,
-//!   and (when the live certificate set is supplied) the splice
-//!   reproduces it exactly.
+//!   within `n_worst`, every cached path is filed under its own source
+//!   and lies at or above its slot's floor, every slot holding fewer than
+//!   `n_worst` paths has a floor at or below the splice's N-th arrival
+//!   (otherwise the floor may hide a path of the answer), and (when the
+//!   live certificate set is supplied) the splice reproduces it exactly.
 //! * **ECO003** — the dirty mask itself is malformed: wrong length, or a
 //!   function-changing edit whose mask is not all-dirty (the dirty-cone
 //!   argument only covers delay-only edits).
@@ -118,8 +120,14 @@ pub fn audit_source_cache(
         ));
         return ds;
     }
+    let splice = cache.splice();
+    let nth_arrival = cache
+        .n_worst()
+        .and_then(|n| splice.get(n.checked_sub(1)?))
+        .map_or(f64::NEG_INFINITY, TruePath::worst_arrival);
     for (i, &pi) in inputs.iter().enumerate() {
         let slot = cache.source_paths(i);
+        let floor = cache.floor(i);
         if let Some(n) = cache.n_worst() {
             if slot.len() > n {
                 ds.push(Diagnostic::new(
@@ -128,6 +136,25 @@ pub fn audit_source_cache(
                     format!("slot {i} holds {} paths past n_worst {n}", slot.len()),
                 ));
             }
+            if slot.len() < n && floor > nth_arrival {
+                ds.push(Diagnostic::new(
+                    RuleCode::EcoCacheInvariant,
+                    format!("{circuit}:{}", nl.net_label(pi)),
+                    format!(
+                        "slot {i} holds {} < n_worst {n} paths under floor {floor} above the \
+                         splice's N-th arrival {nth_arrival} — a hidden path may belong to \
+                         the answer",
+                        slot.len()
+                    ),
+                ));
+            }
+        }
+        if slot.iter().any(|p| p.worst_arrival() < floor) {
+            ds.push(Diagnostic::new(
+                RuleCode::EcoCacheInvariant,
+                format!("{circuit}:{}", nl.net_label(pi)),
+                format!("slot {i} holds a path below its floor {floor}"),
+            ));
         }
         for w in slot.windows(2) {
             if TruePath::canonical_cmp(&w[0], &w[1]).is_gt() {
@@ -154,7 +181,7 @@ pub fn audit_source_cache(
         }
     }
     if let Some(certs) = certs {
-        if cache.splice() != certs.paths {
+        if splice != certs.paths {
             ds.push(Diagnostic::new(
                 RuleCode::EcoCacheInvariant,
                 format!("{circuit}:cache"),

@@ -182,13 +182,12 @@ fn audit_injectors_pin_ai_rule_codes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The ECO-family injectors trip their designated rule codes: a
-    /// shrunk dirty cone is an ECO001 under-approximation, malformed
-    /// masks are ECO003, and every cache corruption mode is ECO002.
+    /// The dirty-mask injectors trip their designated rule codes: a
+    /// shrunk dirty cone is an ECO001 under-approximation and malformed
+    /// masks are ECO003 (the cache corruptions are pinned below).
     #[test]
     fn eco_injectors_pin_eco_rule_codes(
         which in 0usize..2,
-        n_worst in 3usize..8,
     ) {
         let name = ["c17", "sample"][which];
         let lib = Library::standard();
@@ -233,30 +232,50 @@ proptest! {
         partial[0] = false;
         let ds = audit(&partial, &fedit);
         prop_assert!(codes(&ds).contains(&"ECO003"), "{ds:?}");
+    }
+}
 
-        // ECO002 — every cache corruption mode breaks an invariant the
-        // auditor checks; the pristine cache passes with the splice
-        // cross-check attached.
-        let cfg = EnumerationConfig::new(corner)
-            .with_n_worst(n_worst)
-            .with_per_source_n_worst(true);
+/// Every cache corruption mode breaks an invariant ECO002 checks, and
+/// every mode actually fires on at least one of the circuits below — a
+/// cache built under the global N-worst threshold has full slots (what
+/// `Overfill` needs) only at small N. The pristine caches pass with the
+/// splice cross-check attached.
+#[test]
+fn cache_corruptions_pin_eco002() {
+    let lib = Library::standard();
+    let modes = [
+        CacheCorruption::Misfile,
+        CacheCorruption::Unsort,
+        CacheCorruption::Overfill,
+        CacheCorruption::RaiseFloor,
+    ];
+    let mut fired = [false; 4];
+    for (name, n_worst) in [
+        ("c17", 1),
+        ("c17", 2),
+        ("c17", 5),
+        ("sample", 2),
+        ("sample", 7),
+    ] {
+        let nl = catalog::mapped(name, &lib).unwrap().unwrap();
+        let cfg = EnumerationConfig::new(nominal()).with_n_worst(n_worst);
         let enumr = PathEnumerator::new(&nl, &lib, fast_tlib(), cfg);
         let (cache, stats) = SourceCache::build(&enumr);
         drop(enumr);
+        assert!(!stats.truncated, "{name}: cache build truncated");
         let certs = enumerate(&nl, &lib, n_worst);
-        let splice_certs = (!stats.truncated).then_some(&certs);
-        let ds = sta_lint::audit_source_cache(name, &nl, &cache, splice_certs);
-        prop_assert!(ds.is_empty(), "{ds:?}");
-        for mode in [
-            CacheCorruption::Misfile,
-            CacheCorruption::Unsort,
-            CacheCorruption::Overfill,
-        ] {
+        let ds = sta_lint::audit_source_cache(name, &nl, &cache, Some(&certs));
+        assert!(ds.is_empty(), "{name} n{n_worst}: {ds:?}");
+        for (mode, fired) in modes.iter().zip(&mut fired) {
             let mut broken = cache.clone();
-            if corrupt_source_cache(&mut broken, mode) {
+            if corrupt_source_cache(&mut broken, *mode) {
+                *fired = true;
                 let ds = sta_lint::audit_source_cache(name, &nl, &broken, None);
-                prop_assert!(codes(&ds).contains(&"ECO002"), "{mode:?}: {ds:?}");
+                assert!(codes(&ds).contains(&"ECO002"), "{mode:?}: {ds:?}");
             }
         }
+    }
+    for (mode, fired) in modes.iter().zip(fired) {
+        assert!(fired, "{mode:?} never found a slot to corrupt");
     }
 }

@@ -155,10 +155,8 @@ fn parse_modes(list: &str) -> Result<Vec<Mode>, String> {
 
 impl CircuitSession {
     /// The enumeration configuration shared by cache builds and updates.
-    fn per_source_cfg(&self, input_slew: f64) -> EnumerationConfig {
-        let mut cfg = EnumerationConfig::new(self.corner)
-            .with_threads(self.threads)
-            .with_per_source_n_worst(true);
+    fn cache_cfg(&self, input_slew: f64) -> EnumerationConfig {
+        let mut cfg = EnumerationConfig::new(self.corner).with_threads(self.threads);
         if let Some(n) = self.n_worst {
             cfg = cfg.with_n_worst(n);
         }
@@ -338,9 +336,7 @@ impl Server {
             .ok_or_else(|| format!("unknown benchmark {circuit:?}"))?;
         let tlib = self.timing_for(&tech)?;
         let corner = Corner::nominal(&tech);
-        let mut cfg = EnumerationConfig::new(corner)
-            .with_threads(threads)
-            .with_per_source_n_worst(true);
+        let mut cfg = EnumerationConfig::new(corner).with_threads(threads);
         if let Some(n) = n_worst {
             cfg = cfg.with_n_worst(n);
         }
@@ -433,7 +429,7 @@ impl Server {
         // kernel is not (it depends only on (timing library, corner)).
         session.schedule = None;
         let cfg = session
-            .per_source_cfg(input_slew)
+            .cache_cfg(input_slew)
             .with_source_filter(Arc::new(dirty));
         {
             let enumr = PathEnumerator::with_prebuilt(
@@ -445,6 +441,8 @@ impl Server {
                 None,
             );
             let stats = session.cache.update(&enumr);
+            obs.counter("serve.repair_sources")
+                .add(session.cache.repaired_sources() as u64);
             session.schedule = enumr.schedule_arc();
             session.truncated |= stats.truncated;
         }
@@ -1070,6 +1068,10 @@ mod tests {
         assert_eq!(manifest.circuits[0].revision, 1);
         assert_eq!(manifest.circuits[0].incremental_updates, 1);
         assert_eq!(manifest.circuits[0].full_rebuilds, 0);
+        assert!(manifest
+            .metrics
+            .counters
+            .contains_key("serve.repair_sources"));
     }
 
     #[test]

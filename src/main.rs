@@ -1154,27 +1154,25 @@ fn audit_flow_circuit(
 
     // ECO002: per-source cache invariants, and — when neither side
     // truncated — the splice must reproduce the cold enumeration above.
-    let per_source_cfg = {
+    let cache_cfg = {
         let mut cfg = EnumerationConfig::new(ctx.corner)
             .with_threads(opts.threads)
             .with_bitsim(!opts.no_bitsim)
             .with_learning(!opts.no_learning)
-            .with_per_source_n_worst(true)
             .with_observer(obs.clone());
         match opts.nworst {
             Some(n) => cfg = cfg.with_n_worst(n),
             None => cfg.max_paths = ctx.config().max_paths,
         }
-        // Per-source enumeration has far weaker pruning thresholds than a
-        // global N-worst run, so honor a `--max-decisions` bound here too;
-        // the splice cross-check below already steps aside on truncation.
+        // The cache build is the same global search as the cold run
+        // above, so it honors the same `--max-decisions` bound; the
+        // splice cross-check below steps aside on truncation.
         cfg.max_decisions = ctx.config().max_decisions;
         cfg.input_slew = slew;
         cfg
     };
     let (mut cache, build_stats) = {
-        let enumr =
-            PathEnumerator::new(&ctx.netlist, &ctx.lib, &ctx.timing, per_source_cfg.clone());
+        let enumr = PathEnumerator::new(&ctx.netlist, &ctx.lib, &ctx.timing, cache_cfg.clone());
         SourceCache::build(&enumr)
     };
     let splice_certs = (!plain_truncated && !build_stats.truncated).then_some(&certs);
@@ -1215,7 +1213,7 @@ fn audit_flow_circuit(
             ));
             // An incremental update must preserve the cache invariants.
             {
-                let cfg = per_source_cfg.with_source_filter(std::sync::Arc::new(dirty));
+                let cfg = cache_cfg.with_source_filter(std::sync::Arc::new(dirty));
                 let enumr = PathEnumerator::new(&edited, &ctx.lib, &ctx.timing, cfg);
                 cache.update(&enumr);
             }

@@ -46,18 +46,14 @@ fn assert_eco_identity(
 ) {
     let corner = Corner::nominal(tech);
     for &threads in threads_list {
-        let mut per_src = EnumerationConfig::new(corner)
-            .with_threads(threads)
-            .with_per_source_n_worst(true);
         let mut plain = EnumerationConfig::new(corner).with_threads(threads);
         if let Some(n) = n_worst {
-            per_src = per_src.with_n_worst(n);
             plain = plain.with_n_worst(n);
         }
 
         // Build the cache on the pre-edit netlist; keep the corner
         // kernel resident the way the daemon does.
-        let enumr = PathEnumerator::new(nl, lib, tlib, per_src.clone());
+        let enumr = PathEnumerator::new(nl, lib, tlib, plain.clone());
         let (mut cache, stats) = SourceCache::build(&enumr);
         assert!(!stats.truncated, "{name}: cache build truncated");
         let kernel = enumr.kernel_arc();
@@ -77,7 +73,7 @@ fn assert_eco_identity(
             );
         }
 
-        let upd_cfg = per_src.clone().with_source_filter(Arc::new(dirty));
+        let upd_cfg = plain.clone().with_source_filter(Arc::new(dirty));
         let upd = PathEnumerator::with_prebuilt(&edited, lib, tlib, upd_cfg, Some(kernel), None);
         let stats = cache.update(&upd);
         assert!(!stats.truncated, "{name}: incremental update truncated");
